@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 from . import __version__
 from .averages import average_betti_exact, average_betti_mc, convergence_table
 from .errors import DomainError
-from .linkages import LengthVector, betti_profile, is_generic
+from .linkages import LengthVector, betti_profile
 from .simplexes import Measure
 from .slicing import slice_ratio
 
@@ -273,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_betti(args: argparse.Namespace, threads: int) -> OutputRecord:
     ell = LengthVector(tuple(args.lengths))
     profile = betti_profile(ell)
-    generic = "true" if is_generic(ell) else "false"
+    generic = "false" if any(profile.median_counts) else "true"
     record = OutputRecord(
         command="betti",
         columns=("p", "betti", "short", "median", "generic"),

@@ -2,13 +2,14 @@
 
 Nothing in this module calls the closed-form machinery under test.  The
 slice oracles integrate geometrically (exact polygon clipping in 2D, direct
-interval arithmetic in 1D); the Betti oracle re-derives subset counts by the
-most naive enumeration possible.
+interval arithmetic in 1D); the Betti oracles re-derive subset counts by the
+most naive enumeration possible and by a Gray-code walk over every subset.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -99,3 +100,47 @@ def brute_betti(lengths: Sequence[Fraction], p: int) -> int:
 def brute_profile(lengths: Sequence[Fraction]) -> tuple[int, ...]:
     n = len(lengths)
     return tuple(brute_betti(lengths, p) for p in range(n - 2))
+
+
+def gray_code_class_counts(
+    lengths: Sequence[Fraction], anchor: int
+) -> tuple[list[int], list[int]]:
+    """Short and median subset counts through ``anchor`` (1-based), by size.
+
+    One Gray-code walk over the 2^(n-1) subsets of the non-anchor indices;
+    each step flips a single membership bit, so the running sum updates in
+    O(1).  Returns (short, median) with index = subset size.
+    """
+    common = math.lcm(*(Fraction(l).denominator for l in lengths))
+    weights = [int(Fraction(l) * common) for l in lengths]
+    n = len(weights)
+    total = sum(weights)
+    rest = [w for i, w in enumerate(weights) if i != anchor - 1]
+    k = n - 1
+    short = [0] * (n + 1)
+    median = [0] * (n + 1)
+
+    current = weights[anchor - 1]
+    size = 1
+    doubled = 2 * current
+    if doubled < total:
+        short[size] += 1
+    elif doubled == total:
+        median[size] += 1
+
+    in_set = [False] * k
+    for m in range(1, 1 << k):
+        bit = (m & -m).bit_length() - 1
+        if in_set[bit]:
+            current -= rest[bit]
+            size -= 1
+        else:
+            current += rest[bit]
+            size += 1
+        in_set[bit] = not in_set[bit]
+        doubled = 2 * current
+        if doubled < total:
+            short[size] += 1
+        elif doubled == total:
+            median[size] += 1
+    return short, median

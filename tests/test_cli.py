@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from linkage_betti.cli import main
+from linkage_betti.linkages import MAX_BARS
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -277,6 +278,7 @@ def test_exit_code_2_on_malformed_input(capsys):
 def test_exit_code_3_on_domain_violations(capsys):
     assert main(["betti", "--lengths", "1,1"]) == 3
     assert main(["betti", "--lengths", "0,1,1"]) == 3
+    assert main(["betti", "--lengths", ",".join(["1"] * (MAX_BARS + 1))]) == 3
     assert main(["average", "--n", "5", "--p", "7", "--measure", "cube"]) == 3
     assert main(["sample", "--n", "4", "--p", "0", "--measure", "cube",
                  "--samples", "0"]) == 3

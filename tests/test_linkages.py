@@ -2,21 +2,26 @@
 
 Core claims exercised here:
   * anchored short/median subset counts match a brute-force enumeration oracle
-    on random rational vectors;
+    on random rational vectors, and match the Gray-code oracle size by size
+    (property test up to 14 bars, one small-integer vector of 20 bars);
   * equilateral and near-degenerate closed forms come out exactly;
   * the middle degree double-counts its short subsets (pentagon profile (1,8,1));
   * results are invariant under permutation, positive scaling, and the choice
     of maximal anchor;
-  * genericity detection is exact and implies zero median counts.
+  * genericity detection is exact and agrees with "no median counts";
+  * more than MAX_BARS bars are refused at once instead of hanging.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkage_betti import (
     DomainError,
@@ -29,7 +34,8 @@ from linkage_betti import (
     is_generic,
     max_length_index,
 )
-from oracles import brute_profile
+from linkage_betti.linkages import MAX_BARS
+from oracles import brute_profile, gray_code_class_counts
 
 
 def _random_vector(rnd: random.Random, n: int) -> list[Fraction]:
@@ -236,6 +242,88 @@ def test_generic_vectors_have_no_medians():
             continue
         found += 1
         assert all(m == 0 for m in betti_profile(lv).median_counts)
+
+
+def test_no_median_counts_iff_generic():
+    rnd = random.Random(31)
+    vectors = [_random_vector(rnd, rnd.randint(3, 10)) for _ in range(100)]
+    vectors += [[Fraction(rnd.randint(1, 9), rnd.randint(1, 4))] * n for n in range(3, 12)]
+    vectors += [
+        [Fraction(rnd.randint(1, 4)) for _ in range(rnd.randint(3, 10))]
+        for _ in range(100)
+    ]
+    seen = set()
+    for ell in vectors:
+        lv = LengthVector(tuple(ell))
+        generic = is_generic(lv)
+        seen.add(generic)
+        assert (not any(betti_profile(lv).median_counts)) == generic
+    assert seen == {True, False}
+
+
+_positive_rationals = st.builds(Fraction, st.integers(1, 60), st.integers(1, 6))
+
+
+@st.composite
+def _length_vectors(draw) -> list[Fraction]:
+    """3-14 bars: random rationals, equilateral, small integers (many median
+    subsets) or small integers with a tied maximum."""
+    n = draw(st.integers(3, 14))
+    kind = draw(st.sampled_from(("rational", "equilateral", "small", "tied")))
+    if kind == "rational":
+        return draw(st.lists(_positive_rationals, min_size=n, max_size=n))
+    if kind == "equilateral":
+        return [draw(_positive_rationals)] * n
+    lengths = draw(st.lists(st.integers(1, 4).map(Fraction), min_size=n, max_size=n))
+    if kind == "tied":
+        top = max(lengths) + draw(st.integers(0, 2))
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=2)):
+            lengths[i] = top
+    return lengths
+
+
+@settings(max_examples=120, deadline=None)
+@given(lengths=_length_vectors(), data=st.data())
+def test_counts_match_gray_code_oracle(lengths, data):
+    lv = LengthVector(tuple(lengths))
+    n = lv.n
+    profile = betti_profile(lv)
+    short, median = gray_code_class_counts(lengths, profile.anchor)
+    assert profile.short_counts == tuple(short[1 : n - 1])
+    assert profile.median_counts == tuple(median[1 : n - 1])
+    anchor = data.draw(st.integers(1, n), label="anchor")
+    short, median = gray_code_class_counts(lengths, anchor)
+    assert [count_short(lv, k, anchor) for k in range(n + 1)] == short
+    assert [count_median(lv, k, anchor) for k in range(n + 1)] == median
+
+
+def test_counts_match_gray_code_oracle_at_20_bars():
+    rnd = random.Random(2020)
+    lengths = [Fraction(rnd.randint(1, 20)) for _ in range(20)]
+    if sum(lengths) % 2:
+        lengths[0] += 1
+    profile = betti_profile(LengthVector(tuple(lengths)))
+    short, median = gray_code_class_counts(lengths, profile.anchor)
+    assert profile.short_counts == tuple(short[1:19])
+    assert profile.median_counts == tuple(median[1:19])
+    assert any(profile.median_counts)
+
+
+def test_bar_count_ceiling_fails_fast():
+    # distinct powers of two: generic with an even total, the costliest case
+    lv = LengthVector.of(*(2**i for i in range(1, MAX_BARS + 2)))
+    calls = (
+        betti_profile,
+        lambda ell: betti(ell, 0),
+        lambda ell: count_short(ell, 1, 1),
+        lambda ell: count_median(ell, 1, 1),
+        is_generic,
+    )
+    start = time.perf_counter()
+    for call in calls:
+        with pytest.raises(DomainError, match="limit"):
+            call(lv)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_equilateral_reference():
