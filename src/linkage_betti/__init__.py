@@ -44,19 +44,8 @@ from .simplexes import (
     VertexValues,
     density_sequence,
     functional_values,
-    prefix_average_vertices,
-    prefix_indicator_vertices,
-    sorted_region_vertices,
 )
-from .slicing import (
-    GroupedValues,
-    group_values,
-    slice_cdf,
-    slice_ratio,
-    slice_ratio_confluent,
-    slice_ratio_distinct,
-    weak_compositions,
-)
+from .slicing import GroupedValues, group_values, slice_cdf, slice_ratio
 
 __version__ = "0.1.0"
 
@@ -78,15 +67,9 @@ __all__ = [
     "VertexValues",
     "density_sequence",
     "functional_values",
-    "prefix_average_vertices",
-    "prefix_indicator_vertices",
-    "sorted_region_vertices",
     "GroupedValues",
     "group_values",
-    "weak_compositions",
-    "slice_ratio_distinct",
     "slice_cdf",
-    "slice_ratio_confluent",
     "slice_ratio",
     "MonteCarloEstimate",
     "mc_slice_ratio",

@@ -33,7 +33,13 @@ import numpy as np
 
 from .errors import DomainError
 from .linkages import IndexSubset
-from .sampling import MonteCarloEstimate, map_chunks, sample_unit_cube, sample_unit_simplex
+from .sampling import (
+    MonteCarloEstimate,
+    map_chunks,
+    pool_size,
+    sample_unit_cube,
+    sample_unit_simplex,
+)
 from .simplexes import Measure, functional_values
 from .slicing import slice_ratio
 
@@ -106,10 +112,11 @@ class AverageReport:
 
 def _sum_terms(subsets: Iterator[IndexSubset], measure: Measure, workers: int) -> tuple[Fraction, int]:
     items = list(subsets)
-    if workers <= 1 or len(items) <= 1:
+    size = pool_size(workers, len(items))
+    if size <= 1:
         values = [subset_volume_term(s, measure) for s in items]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=size) as pool:
             values = list(pool.map(lambda s: subset_volume_term(s, measure), items))
     return sum(values, Fraction(0)), len(items)
 

@@ -209,13 +209,21 @@ def _check_anchored_args(ell: LengthVector, cardinality: int, anchor: int) -> No
 
 
 def count_short(ell: LengthVector, cardinality: int, anchor: int) -> int:
-    """Number of short subsets of the given size containing the anchor."""
+    """Number of short subsets of the given size containing the anchor.
+
+    Each call counts the subsets of every size through the anchor; a caller
+    wanting several sizes or degrees should call ``betti_profile`` once.
+    """
     _check_anchored_args(ell, cardinality, anchor)
     return _anchored_class_counts(ell, anchor)[0][cardinality]
 
 
 def count_median(ell: LengthVector, cardinality: int, anchor: int) -> int:
-    """Number of median subsets of the given size containing the anchor."""
+    """Number of median subsets of the given size containing the anchor.
+
+    Each call counts the subsets of every size through the anchor; a caller
+    wanting several sizes or degrees should call ``betti_profile`` once.
+    """
     _check_anchored_args(ell, cardinality, anchor)
     return _anchored_class_counts(ell, anchor)[1][cardinality]
 
@@ -228,7 +236,11 @@ def _check_degree(n: int, p: int) -> None:
 
 
 def betti(ell: LengthVector, p: int) -> int:
-    """The p-th Betti number of the moduli space of ``ell``."""
+    """The p-th Betti number of the moduli space of ``ell``.
+
+    Each call computes the whole profile; a caller wanting several degrees
+    should call ``betti_profile`` once.
+    """
     _check_degree(ell.n, p)
     return betti_profile(ell).values[p]
 

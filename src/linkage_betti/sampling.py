@@ -10,6 +10,7 @@ reduction order cannot perturb the estimate either.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,20 +66,30 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def pool_size(workers: int, items: int) -> int:
+    """Threads for a pool over ``items`` work items: at most one per item and per CPU."""
+    return min(workers, items, os.cpu_count() or 1)
+
+
 def map_chunks(
     worker: Callable[[np.random.Generator, int], T],
     samples: int,
     seed: int,
     workers: int = 1,
 ) -> list[T]:
-    """Run ``worker(rng, count)`` over every chunk, in chunk order."""
+    """Run ``worker(rng, count)`` over every chunk, in chunk order.
+
+    The pool has ``pool_size(workers, chunks)`` threads, however many
+    ``workers`` are asked for.
+    """
     _check_budget(samples, seed)
     if workers < 1:
         raise DomainError("need at least one worker")
     jobs = list(_chunks(samples))
-    if workers == 1 or len(jobs) == 1:
+    size = pool_size(workers, len(jobs))
+    if size == 1:
         return [worker(chunk_rng(seed, i), count) for i, count in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=size) as pool:
         futures = [pool.submit(worker, chunk_rng(seed, i), count) for i, count in jobs]
         return [f.result() for f in futures]
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError
 from .linkages import IndexSubset
@@ -36,12 +36,8 @@ __all__ = [
     "Measure",
     "DensitySequence",
     "VertexValues",
-    "prefix_average_vertices",
-    "prefix_indicator_vertices",
-    "sorted_region_vertices",
     "density_sequence",
     "functional_values",
-    "evaluate_on_vertices",
 ]
 
 
@@ -53,41 +49,6 @@ class Measure(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def prefix_average_vertices(n: int) -> list[tuple[Fraction, ...]]:
-    """Vertices 0, e1, (e1+e2)/2, ..., (e1+...+en)/n of the sorted region.
-
-    These span the set of decreasing nonnegative vectors summing to at most 1,
-    intersected with the total-sum-1 constraint baked into the measure's
-    barycentric picture; all coordinates are exact rationals.
-    """
-    if n < 1:
-        raise DomainError("need at least one coordinate")
-    vertices = []
-    for i in range(n + 1):
-        vertices.append(
-            tuple(Fraction(1, i) if j < i else Fraction(0) for j in range(n))
-        )
-    return vertices
-
-
-def prefix_indicator_vertices(n: int) -> list[tuple[Fraction, ...]]:
-    """Vertices 0, e1, e1+e2, ..., e1+...+en of the sorted part of the cube."""
-    if n < 1:
-        raise DomainError("need at least one coordinate")
-    vertices = []
-    for i in range(n + 1):
-        vertices.append(
-            tuple(Fraction(1) if j < i else Fraction(0) for j in range(n))
-        )
-    return vertices
-
-
-def sorted_region_vertices(n: int, measure: Measure) -> list[tuple[Fraction, ...]]:
-    if measure is Measure.SIMPLEX:
-        return prefix_average_vertices(n)
-    return prefix_indicator_vertices(n)
 
 
 @dataclass(frozen=True)
@@ -164,12 +125,3 @@ def functional_values(subset: IndexSubset, measure: Measure) -> VertexValues:
         else:
             values.append(Fraction(2 * hits - i))
     return VertexValues(values=tuple(values), measure=measure)
-
-
-def evaluate_on_vertices(
-    coefficients: Sequence[Fraction], vertices: Sequence[tuple[Fraction, ...]]
-) -> tuple[Fraction, ...]:
-    """Dot the coefficient vector against each vertex; a cross-check helper."""
-    return tuple(
-        sum((c * x for c, x in zip(coefficients, v)), Fraction(0)) for v in vertices
-    )

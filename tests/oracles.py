@@ -2,16 +2,23 @@
 
 Nothing in this module calls the closed-form machinery under test.  The
 slice oracles integrate geometrically (exact polygon clipping in 2D, direct
-interval arithmetic in 1D); the Betti oracles re-derive subset counts by the
-most naive enumeration possible and by a Gray-code walk over every subset.
+interval arithmetic in 1D) or evaluate the older closed forms the residue
+kernel replaced: the partial-fraction sum for distinct values and the
+weak-composition sum for repeated ones.  The Betti oracles re-derive subset
+counts by the most naive enumeration possible and by a Gray-code walk over
+every subset.  The vertex helpers spell out the sorted-region picture that
+``simplexes.functional_values`` condenses.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
+
+from linkage_betti import DomainError, Measure
 
 Point = tuple[Fraction, Fraction]
 
@@ -144,3 +151,124 @@ def gray_code_class_counts(
         elif doubled == total:
             median[size] += 1
     return short, median
+
+
+def distinct_slice_ratio(values: Sequence[Fraction]) -> Fraction:
+    """Negative-side volume fraction of a simplex cut, all values distinct.
+
+    The classic partial-fraction sum over the negative values q_i of
+    prod_{j != i} q_i / (q_i - q_j).
+    """
+    vals = [Fraction(v) for v in values]
+    if len(vals) < 2 or len(set(vals)) != len(vals):
+        raise ValueError("need at least two pairwise distinct values")
+    total = Fraction(0)
+    for i, qi in enumerate(vals):
+        if qi >= 0:
+            continue
+        term = Fraction(1)
+        for j, qj in enumerate(vals):
+            if j != i:
+                term *= qi / (qi - qj)
+        total += term
+    return total
+
+
+def weak_compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` nonnegative integers summing to ``total``.
+
+    Stars and bars: there are C(parts - 1 + total, total) of them.
+    """
+    slots = parts - 1 + total
+    for cuts in itertools.combinations(range(slots), parts - 1):
+        extended = (-1,) + cuts + (slots,)
+        yield tuple(extended[i + 1] - extended[i] - 1 for i in range(parts))
+
+
+def confluent_factor(
+    distinct: Sequence[Fraction], multiplicities: Sequence[int], i: int
+) -> Fraction:
+    """Correction factor F_i of the value distinct[i], a weak-composition sum.
+
+    With k_j = m_j - 1, n = sum m_j - 1 and s + 1 distinct values,
+
+        F_i = sum over weak compositions delta of k_i into s+1 parts of
+              C(n, delta_i) * (-Q_i)^(k_i - delta_i)
+              * prod_{j != i} C(k_j + delta_j, delta_j) / (Q_i - Q_j)^delta_j,
+
+    which is 1 for a simple value (k_i = 0).
+    """
+    k_i = multiplicities[i] - 1
+    n = sum(multiplicities) - 1
+    q_i = distinct[i]
+    acc = Fraction(0)
+    for delta in weak_compositions(len(distinct), k_i):
+        term = Fraction(math.comb(n, delta[i])) * (-q_i) ** (k_i - delta[i])
+        for j, q_j in enumerate(distinct):
+            if j == i or delta[j] == 0:
+                continue
+            k_j = multiplicities[j] - 1
+            term *= Fraction(math.comb(k_j + delta[j], delta[j])) * (q_i - q_j) ** (-delta[j])
+        acc += term
+    return acc
+
+
+def weak_composition_slice_ratio(values: Sequence[Fraction]) -> Fraction:
+    """Negative-side volume fraction with repeats, by the weak-composition form.
+
+    r = sum over negative distinct values Q_i of
+        F_i * prod_{j != i} (Q_i / (Q_i - Q_j))^m_j,
+
+    evaluated on the negative side only, with no complement.  Its cost grows
+    like C(s - 1 + k, k) per value of multiplicity k + 1.
+    """
+    counts = Counter(Fraction(v) for v in values)
+    distinct = sorted(counts, reverse=True)
+    multiplicities = [counts[v] for v in distinct]
+    if sum(multiplicities) < 2:
+        raise ValueError("need at least two values")
+    total = Fraction(0)
+    for i, q_i in enumerate(distinct):
+        if q_i >= 0:
+            continue
+        product = Fraction(1)
+        for j, q_j in enumerate(distinct):
+            if j != i:
+                product *= (q_i / (q_i - q_j)) ** multiplicities[j]
+        total += confluent_factor(distinct, multiplicities, i) * product
+    return total
+
+
+def prefix_average_vertices(n: int) -> list[tuple[Fraction, ...]]:
+    """Vertices 0, e1, (e1+e2)/2, ..., (e1+...+en)/n of the simplex measure's sorted region."""
+    if n < 1:
+        raise DomainError("need at least one coordinate")
+    return [
+        tuple(Fraction(1, i) if j < i else Fraction(0) for j in range(n))
+        for i in range(n + 1)
+    ]
+
+
+def prefix_indicator_vertices(n: int) -> list[tuple[Fraction, ...]]:
+    """Vertices 0, e1, e1+e2, ..., e1+...+en of the sorted part of the cube."""
+    if n < 1:
+        raise DomainError("need at least one coordinate")
+    return [
+        tuple(Fraction(1) if j < i else Fraction(0) for j in range(n))
+        for i in range(n + 1)
+    ]
+
+
+def sorted_region_vertices(n: int, measure: Measure) -> list[tuple[Fraction, ...]]:
+    if measure is Measure.SIMPLEX:
+        return prefix_average_vertices(n)
+    return prefix_indicator_vertices(n)
+
+
+def evaluate_on_vertices(
+    coefficients: Sequence[Fraction], vertices: Sequence[tuple[Fraction, ...]]
+) -> tuple[Fraction, ...]:
+    """Dot the coefficient vector against each vertex."""
+    return tuple(
+        sum((c * x for c, x in zip(coefficients, v)), Fraction(0)) for v in vertices
+    )

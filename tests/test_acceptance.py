@@ -14,8 +14,9 @@ The criteria, in order:
  5. the gap between the expected Betti number and its binomial limit
     decays geometrically in the bar count, for both measures;
  6. algebraic identities of the slice kernel hold exactly on seeded
-    random corpora (partition of unity, complementation, confluent
-    versus distinct agreement, perturbation limits);
+    random corpora (partition of unity, complementation, agreement with
+    the partial-fraction and weak-composition closed forms, perturbation
+    limits);
  7. slice formulas match an independent planar-clipping oracle exactly
     and a Monte Carlo oracle within three standard errors;
  8. the structural bounds on density and vertex-value sequences hold on
@@ -46,12 +47,14 @@ from linkage_betti import (
     mc_slice_ratio,
     slice_cdf,
     slice_ratio,
-    slice_ratio_confluent,
-    slice_ratio_distinct,
 )
 
 from lemma_checks import check_all
-from oracles import triangle_negative_fraction
+from oracles import (
+    distinct_slice_ratio,
+    triangle_negative_fraction,
+    weak_composition_slice_ratio,
+)
 
 
 @contextmanager
@@ -186,15 +189,14 @@ def test_criterion_6_slice_kernel_identities():
 
             assert slice_ratio(values) + slice_ratio([-v for v in values]) == 1
 
-            # all multiplicities are 1 here, so both closed forms must agree
-            assert slice_ratio_confluent(group_values(values)) == slice_ratio_distinct(
-                values
-            )
+            # all multiplicities are 1 here, so every closed form must agree
+            assert slice_ratio(values) == distinct_slice_ratio(values)
+            assert weak_composition_slice_ratio(values) == distinct_slice_ratio(values)
 
         done = 0
         while done < 50:
             grouped = _mixed_sign_confluent(rnd)
-            target = slice_ratio_confluent(grouped)
+            target = slice_ratio(grouped)
             distances = []
             collided = False
             for eps in (Fraction(1, 10**3), Fraction(1, 10**4), Fraction(1, 10**5)):
@@ -204,7 +206,7 @@ def test_criterion_6_slice_kernel_identities():
                 if len(set(separated)) != len(separated):
                     collided = True
                     break
-                distances.append(abs(slice_ratio_distinct(separated) - target))
+                distances.append(abs(distinct_slice_ratio(separated) - target))
             if collided:
                 continue
             assert distances[0] > distances[1] > distances[2], (
@@ -217,15 +219,18 @@ def test_criterion_6_slice_kernel_identities():
 def test_criterion_7_slice_vs_geometry_and_monte_carlo():
     with criterion(7, "slice formulas vs geometry and Monte Carlo", 60.0):
         third = (Fraction(-1), Fraction(1), Fraction(2))
-        assert slice_ratio_distinct(third) == Fraction(1, 6)
+        assert slice_ratio(third) == Fraction(1, 6)
+        assert distinct_slice_ratio(third) == Fraction(1, 6)
         assert triangle_negative_fraction(*third) == Fraction(1, 6)
 
         repeated_positive = [Fraction(-1), Fraction(1), Fraction(1)]
-        assert slice_ratio_confluent(group_values(repeated_positive)) == Fraction(1, 4)
+        assert slice_ratio(repeated_positive) == Fraction(1, 4)
+        assert weak_composition_slice_ratio(repeated_positive) == Fraction(1, 4)
         assert triangle_negative_fraction(*repeated_positive) == Fraction(1, 4)
 
         repeated_negative = [Fraction(-1), Fraction(-1), Fraction(1)]
-        assert slice_ratio_confluent(group_values(repeated_negative)) == Fraction(3, 4)
+        assert slice_ratio(repeated_negative) == Fraction(3, 4)
+        assert weak_composition_slice_ratio(repeated_negative) == Fraction(3, 4)
         assert triangle_negative_fraction(*repeated_negative) == Fraction(3, 4)
 
         rnd = random.Random(640)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,18 @@ def test_slice_accepts_leading_minus_values(capsys):
     assert row["count"] == "3"
     # positive corner is the similar triangle of scale 2/3 at the last vertex
     assert Fraction(row["ratio_rational"]) == 1 - Fraction(2, 3) ** 2
+
+
+def test_slice_of_many_repeated_values_is_fast_and_exact(capsys):
+    # 20 values symmetric about 0, each 10 times: half the simplex by symmetry
+    q = [Fraction(k, 3) for k in range(-10, 11) if k] * 10
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "slice", "--q", ",".join(map(str, q)), "--format", "csv")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    row = dict(zip(*parse_csv(out)))
+    assert (row["count"], row["ratio_rational"]) == ("200", "1/2")
+    assert elapsed < 2.0, elapsed
 
 
 def test_table_format_is_aligned(capsys):

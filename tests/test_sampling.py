@@ -5,17 +5,28 @@ Core claims exercised here:
   * the slice estimator is unbiased against exact ratios at 3 standard errors;
   * results depend only on (seed, samples): reruns and different worker counts
     are bit-identical, including across chunk boundaries;
-  * degenerate cases (certain events, single samples) behave as documented.
+  * degenerate cases (certain events, single samples) behave as documented;
+  * thread pools hold at most one thread per work item and per CPU.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from linkage_betti import DomainError, mc_slice_ratio, slice_ratio
+from linkage_betti import (
+    DomainError,
+    Measure,
+    average_betti_exact,
+    averages,
+    mc_slice_ratio,
+    sampling,
+    slice_ratio,
+)
 from linkage_betti.sampling import (
     CHUNK_SIZE,
     chunk_rng,
@@ -99,3 +110,60 @@ def test_budget_validation():
         map_chunks(lambda rng, count: count, 10, 1, workers=0)
     with pytest.raises(DomainError):
         mc_slice_ratio([Fraction(1)], 10, 1)
+
+
+def _recording_executor(sizes: list[int]):
+    """A ThreadPoolExecutor stand-in that records its size and runs inline."""
+
+    class Executor:
+        def __init__(self, max_workers: int) -> None:
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> bool:
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    return Executor
+
+
+def test_thread_pools_are_capped_by_work_items_and_cpus(monkeypatch):
+    sizes: list[int] = []
+    for module in (sampling, averages):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", _recording_executor(sizes))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    values = [Fraction(-1), Fraction(1), Fraction(3)]
+    serial = mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=1)
+    assert sizes == []
+    assert mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=5000) == serial
+    assert sizes == [3]
+    assert map_chunks(lambda rng, count: count, 2 * CHUNK_SIZE, 0, workers=5000) == [
+        CHUNK_SIZE,
+        CHUNK_SIZE,
+    ]
+    assert sizes == [3, 2]
+
+    # two subset classes of 7 and 35 terms
+    exact = average_betti_exact(8, 1, Measure.CUBE, workers=1).exact
+    sizes.clear()
+    assert average_betti_exact(8, 1, Measure.CUBE, workers=5000).exact == exact
+    assert sizes == [3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    sizes.clear()
+    # one term of size 1, then six of size 3
+    average_betti_exact(5, 0, Measure.SIMPLEX, workers=5000)
+    assert sizes == [6]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sizes.clear()
+    assert mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=5000) == serial
+    assert average_betti_exact(8, 1, Measure.CUBE, workers=5000).exact == exact
+    assert sizes == []

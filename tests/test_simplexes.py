@@ -23,11 +23,13 @@ from linkage_betti import (
     Measure,
     density_sequence,
     functional_values,
+)
+from oracles import (
+    evaluate_on_vertices,
     prefix_average_vertices,
     prefix_indicator_vertices,
     sorted_region_vertices,
 )
-from linkage_betti.simplexes import evaluate_on_vertices
 
 
 def test_prefix_average_vertices():

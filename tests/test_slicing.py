@@ -1,11 +1,13 @@
 """Exact simplex cut-volume fractions.
 
 Core claims exercised here:
-  * the distinct-value formula agrees with an exact polygon-clipping oracle in
-    2D and an interval oracle in 1D on random rational inputs;
-  * the confluent formula extends it exactly (examples, multiplicity-1
-    reduction, homogeneity, perturbation limits);
-  * the CDF is a genuine distribution function of the vertex values;
+  * the residue kernel agrees with an exact polygon-clipping oracle in 2D and
+    an interval oracle in 1D on random rational inputs;
+  * it equals the partial-fraction oracle on distinct values and the
+    weak-composition oracle on repeated ones (examples, simple-value
+    reduction, homogeneity, perturbation limits, a hypothesis property test);
+  * the CDF is a genuine distribution function of the vertex values, repeated
+    or not, and does not fill the slice cache;
   * the dispatcher's two evaluation routes agree exactly, complement and
     partition-of-unity identities hold exactly.
 """
@@ -17,6 +19,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkage_betti import (
     DomainError,
@@ -27,12 +31,16 @@ from linkage_betti import (
     group_values,
     slice_cdf,
     slice_ratio,
-    slice_ratio_confluent,
-    slice_ratio_distinct,
+)
+from linkage_betti.slicing import _cached_ratio, _negative_side_sum, _residue
+from oracles import (
+    confluent_factor,
+    distinct_slice_ratio,
+    segment_negative_fraction,
+    triangle_negative_fraction,
+    weak_composition_slice_ratio,
     weak_compositions,
 )
-from linkage_betti.slicing import _confluent_factor, _negative_side_sum
-from oracles import segment_negative_fraction, triangle_negative_fraction
 
 
 def _random_distinct(rnd: random.Random, count: int) -> list[Fraction]:
@@ -101,24 +109,29 @@ def test_weak_compositions():
 
 
 def test_slice_ratio_distinct_examples():
-    assert slice_ratio_distinct([-1, 1]) == Fraction(1, 2)
-    assert slice_ratio_distinct([-1, 1, 2]) == Fraction(1, 6)
-    assert slice_ratio_distinct([1, 2, 3]) == 0
-    assert slice_ratio_distinct([-1, -2, -3]) == 1
+    for q, expected in (
+        ([-1, 1], Fraction(1, 2)),
+        ([-1, 1, 2], Fraction(1, 6)),
+        ([1, 2, 3], 0),
+        ([-1, -2, -3], 1),
+    ):
+        assert slice_ratio(q) == expected
+        assert distinct_slice_ratio(q) == expected
+    with pytest.raises(ValueError):
+        distinct_slice_ratio([1, 1, 2])
     with pytest.raises(DomainError):
-        slice_ratio_distinct([1, 1, 2])
-    with pytest.raises(DomainError):
-        slice_ratio_distinct([1])
+        slice_ratio([1])
 
 
 def test_distinct_matches_geometry_oracles():
     rnd = random.Random(71)
     for _ in range(200):
         q = _random_distinct(rnd, 3)
-        assert slice_ratio_distinct(q) == triangle_negative_fraction(*q)
+        assert slice_ratio(q) == triangle_negative_fraction(*q)
+        assert distinct_slice_ratio(q) == triangle_negative_fraction(*q)
     for _ in range(200):
         q = _random_distinct(rnd, 2)
-        assert slice_ratio_distinct(q) == segment_negative_fraction(*q)
+        assert slice_ratio(q) == segment_negative_fraction(*q)
 
 
 def test_confluent_matches_triangle_oracle_with_repeats():
@@ -145,7 +158,32 @@ def test_slice_cdf_is_a_distribution_function():
         grid = [lo + (hi - lo) * Fraction(t, 24) for t in range(25)]
         values = [slice_cdf(q, x) for x in grid]
         assert all(a <= b for a, b in zip(values, values[1:]))
-        assert slice_cdf(q, 0) == slice_ratio_distinct(q)
+        assert slice_cdf(q, 0) == distinct_slice_ratio(q)
+
+
+def test_slice_cdf_with_repeated_values():
+    rnd = random.Random(81)
+    for _ in range(40):
+        grouped = _random_grouped(rnd)
+        q = [v for v, m in zip(grouped.distinct, grouped.multiplicities) for _ in range(m)]
+        lo, hi = min(q), max(q)
+        grid = [lo + (hi - lo) * Fraction(t, 24) for t in range(25)]
+        values = [slice_cdf(q, x) for x in grid]
+        assert values[0] == 0 and values[-1] == 1
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        for x, y in zip(grid, values):
+            shifted = [v - x for v in q]
+            assert y == slice_ratio(shifted) == weak_composition_slice_ratio(shifted)
+
+
+def test_slice_cdf_leaves_the_cache_alone():
+    q = [Fraction(-3, 7), Fraction(2, 7), Fraction(2, 7), Fraction(5, 7)]
+    before = _cached_ratio.cache_info()
+    values = [slice_cdf(q, Fraction(t, 97)) for t in range(-50, 80)]
+    after = _cached_ratio.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize)
+    assert values[0] == 0 and values[-1] == 1
 
 
 def test_partition_of_unity():
@@ -161,7 +199,7 @@ def test_partition_of_unity():
             total += term
         assert total == 1
         shift = max(q) + 1
-        assert slice_ratio_distinct([v - shift for v in q]) == 1
+        assert slice_ratio([v - shift for v in q]) == 1
 
 
 def test_complement_identity():
@@ -173,27 +211,37 @@ def test_complement_identity():
 
 
 def test_confluent_examples():
-    assert slice_ratio_confluent(group_values([-1, 1, 1])) == Fraction(1, 4)
-    assert triangle_negative_fraction(-1, 1, 1) == Fraction(1, 4)
-    assert slice_ratio_confluent(group_values([-1, -1, 1])) == Fraction(3, 4)
-    assert triangle_negative_fraction(-1, -1, 1) == Fraction(3, 4)
-    assert slice_ratio_confluent(group_values([-2, -2, -5])) == 1
+    for q, expected in (([-1, 1, 1], Fraction(1, 4)), ([-1, -1, 1], Fraction(3, 4))):
+        assert slice_ratio(q) == expected
+        assert weak_composition_slice_ratio(q) == expected
+        assert triangle_negative_fraction(*q) == expected
+    assert slice_ratio([-2, -2, -5]) == 1
+    assert weak_composition_slice_ratio([-2, -2, -5]) == 1
 
 
 def test_confluent_reduces_to_distinct():
     rnd = random.Random(97)
     for _ in range(100):
         q = _random_distinct(rnd, rnd.randint(2, 8))
-        assert slice_ratio_confluent(group_values(q)) == slice_ratio_distinct(q)
+        assert weak_composition_slice_ratio(q) == distinct_slice_ratio(q)
+        assert slice_ratio(q) == distinct_slice_ratio(q)
 
 
 def test_confluent_factor_is_one_for_simple_groups():
+    # a simple value's residue is its partial-fraction term alone
     rnd = random.Random(103)
     for _ in range(50):
         grouped = _random_grouped(rnd)
-        for i, mult in enumerate(grouped.multiplicities):
+        distinct, mults = grouped.distinct, grouped.multiplicities
+        for i, (q_i, mult) in enumerate(zip(distinct, mults)):
             if mult == 1:
-                assert _confluent_factor(grouped, i) == 1
+                assert confluent_factor(distinct, mults, i) == 1
+                if q_i != 0:
+                    term = Fraction(1)
+                    for q_j, m_j in zip(distinct, mults):
+                        if q_j != q_i:
+                            term *= (q_i / (q_i - q_j)) ** m_j
+                    assert _residue(grouped, i) == term
 
 
 def test_confluent_homogeneity():
@@ -201,9 +249,10 @@ def test_confluent_homogeneity():
     for _ in range(60):
         grouped = _random_grouped(rnd)
         factor = Fraction(rnd.randint(1, 9), rnd.randint(1, 9))
-        assert slice_ratio_confluent(grouped.scaled(factor)) == slice_ratio_confluent(
-            grouped
+        scaled = GroupedValues(
+            tuple(v * factor for v in grouped.distinct), grouped.multiplicities
         )
+        assert slice_ratio(scaled) == slice_ratio(grouped)
 
 
 def test_perturbation_limit_monotone():
@@ -211,7 +260,7 @@ def test_perturbation_limit_monotone():
     done = 0
     while done < 25:
         grouped = _random_grouped(rnd, mixed_sign=True)
-        target = slice_ratio_confluent(grouped)
+        target = slice_ratio(grouped)
         distances = []
         collided = False
         for eps in (Fraction(1, 10**3), Fraction(1, 10**4), Fraction(1, 10**5)):
@@ -221,7 +270,7 @@ def test_perturbation_limit_monotone():
             if len(set(values)) != len(values):
                 collided = True
                 break
-            distances.append(abs(slice_ratio_distinct(values) - target))
+            distances.append(abs(distinct_slice_ratio(values) - target))
         if collided:
             continue
         assert distances[0] > distances[1] > distances[2], (
@@ -244,6 +293,7 @@ def test_dispatcher_routes_agree():
             complemented = 1 - _negative_side_sum(grouped.negated())
             assert direct == complemented
             assert slice_ratio(grouped) == direct
+            assert weak_composition_slice_ratio(functional_values(subset, measure)) == direct
 
 
 def test_dispatcher_edge_cases():
@@ -253,3 +303,31 @@ def test_dispatcher_edge_cases():
     assert slice_ratio([Fraction(-1), Fraction(-2)]) == 1
     with pytest.raises(DomainError):
         slice_ratio([Fraction(1)])
+
+
+_VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _grouped_draws(draw):
+    """Up to 6 distinct values (zero often among them), multiplicities 1-5."""
+    distinct = draw(st.lists(st.one_of(st.just(Fraction(0)), _VALUES), min_size=1,
+                             max_size=6, unique=True))
+    mults = draw(st.lists(st.integers(1, 5), min_size=len(distinct),
+                          max_size=len(distinct)))
+    if sum(mults) < 2:
+        mults[0] = 2
+    return [v for v, m in zip(distinct, mults) for _ in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grouped_draws(), st.fractions(min_value=Fraction(1, 9), max_value=9,
+                                      max_denominator=9))
+def test_kernel_properties_on_random_grouped_values(q, factor):
+    ratio = slice_ratio(q)
+    assert ratio == weak_composition_slice_ratio(q)
+    if len(set(q)) == len(q):
+        assert ratio == distinct_slice_ratio(q)
+    if any(q):  # an all-zero functional leaves both open sides empty
+        assert ratio + slice_ratio([-v for v in q]) == 1
+    assert slice_ratio([v * factor for v in q]) == ratio
