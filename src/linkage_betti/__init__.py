@@ -7,10 +7,11 @@ The library has three layers:
 * :mod:`linkage_betti.simplexes` and :mod:`linkage_betti.slicing` compute
   exact volume fractions of a simplex on one side of a linear cut, the
   geometric kernel behind the averages;
-* :mod:`linkage_betti.averages` sums those volume fractions into exact
-  expected Betti numbers under two random-length models (uniform on the
-  probability simplex, iid uniform on the cube) and cross-checks them by
-  seeded Monte Carlo (:mod:`linkage_betti.sampling`).
+* :mod:`linkage_betti.averages` computes exact expected Betti numbers under
+  two random-length models from closed forms (three-value slice ratios for
+  the uniform law on the probability simplex, an Irwin-Hall tail for iid
+  uniform lengths on the cube) and cross-checks them by seeded Monte Carlo
+  (:mod:`linkage_betti.sampling`).
 
 The ``linkage-betti`` console script exposes all of it; see the README.
 """

@@ -1,20 +1,42 @@
 """Exact expected Betti numbers over random bar lengths, plus a sampling check.
 
-For fixed n and degree p, the expected p-th Betti number under either measure
-is a finite sum of simplex slice volumes.  Only subsets containing index 1
-matter once lengths are sorted decreasingly, and only two cardinalities
-contribute:
+For fixed n and degree p, only subsets containing the longest bar matter once
+lengths are sorted decreasingly, and only two cardinalities contribute.  Write
+T(k) for the expected number of short k-subsets that contain the longest bar;
+then
 
-    E[b_p] = sum over J containing 1, |J| = p + 1      of  r(J)
-           + sum over J containing 1, |J| = n - 2 - p  of  r(J),
+    E[b_p] = T(p + 1) + T(n - 2 - p).
 
-where r(J) is the sorted-region volume fraction on which J is short (the
-``subset_volume_term`` below).  Median subsets carry probability zero under
-both continuous measures.  When the two cardinalities coincide (n = 2p + 3)
-the same subsets are summed twice; that matches the per-instance formula,
-whose middle degree also counts its short subsets twice.
+Median subsets carry probability zero under both continuous measures.  When
+the two cardinalities coincide (n = 2p + 3) T is counted twice; that matches
+the per-instance formula, whose middle degree also counts its short subsets
+twice.
 
-The exact path is rational arithmetic end to end.  The Monte Carlo path
+Read literally, T(k) is a sum over the C(n-1, k-1) anchored subsets J of the
+sorted-region volume fraction r(J) on which J is short (``subset_classes``
+and ``subset_volume_term`` below, kept as that definition).  Exchangeability
+collapses the sum to O(n^2) terms.  Below, A holds the k - 1 other members
+of J and B the n - k non-members.
+
+* cube measure (iid uniform lengths):
+      T(k) = C(n-1, k-1) * P(IH_{n-1} > k),
+  IH_m the Irwin-Hall sum of m iid U[0, 1], whose tail at an integer k is
+  1 - sum_{j <= k} (-1)^j C(m, j) (k - j)^m / m!.  Conditioning on the
+  longest bar and rescaling makes the other n - 1 lengths iid U[0, 1]; then
+  J short reads 1 + sum_A U < sum_B U, and U -> 1 - U on A (same law) turns
+  it into: the sum of all n - 1 exceeds k.
+* simplex measure (uniform on the probability simplex):
+      T(k) = n C(n-1, k-1) * sum_{a < k, b <= n-k} (-1)^(a+b) C(k-1, a)
+             C(n-k, b) / (1+a+b) * slice_ratio(1^(k-1), (-1)^(n-k), c_ab),
+  c_ab = (1+a-b)/(1+a+b), with exponents marking multiplicities.  The
+  lengths are iid Exp(1) up to scale; condition on the longest bar being t,
+  expand "every other bar < t" by inclusion-exclusion over the a members and
+  b non-members that exceed t, and by memorylessness those become t plus
+  fresh exponentials; the remaining comparison is the sign of a linear form
+  in n iid exponentials, a slice ratio on three distinct values.
+
+The exact path is rational arithmetic end to end and starts no threads; its
+cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path
 samples length vectors, evaluates the per-instance count on each, and is the
 independent cross-check of choice for the exact values.
 """
@@ -23,8 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -36,7 +56,6 @@ from .linkages import IndexSubset
 from .sampling import (
     MonteCarloEstimate,
     map_chunks,
-    pool_size,
     sample_unit_cube,
     sample_unit_simplex,
 )
@@ -44,7 +63,8 @@ from .simplexes import Measure, functional_values
 from .slicing import slice_ratio
 
 __all__ = [
-    "EXACT_SCALE_TARGET",
+    "EXACT_MAX_BARS",
+    "MC_SETUP_BUDGET_BYTES",
     "AverageReport",
     "ConvergenceRow",
     "subset_classes",
@@ -54,7 +74,15 @@ __all__ = [
     "average_betti_mc",
 ]
 
-EXACT_SCALE_TARGET = 16
+# Largest bar count per measure, for single values and convergence tables
+# alike.  The costliest request it admits is a whole table, n = p + 3 up to
+# the ceiling, at its costliest degree; that takes about 5 s (CPython 3.11,
+# one Xeon vCPU): simplex p = 16 to 44 bars 5.3 s (45 bars 5.8 s), cube
+# p = 0 to 900 bars 4.7 s (1,000 bars 7.0 s).  One central degree at the
+# ceiling takes 0.6 s (simplex) and 0.02 s (cube).  The cube rationals have
+# about 2,300 digits at 900 bars, within the 4,300 that Python's default
+# int-to-str conversion prints.
+EXACT_MAX_BARS = {Measure.SIMPLEX: 44, Measure.CUBE: 900}
 
 
 def _check_degree(n: int, p: int) -> None:
@@ -94,7 +122,12 @@ def subset_volume_term(subset: IndexSubset, measure: Measure) -> Fraction:
 
 @dataclass(frozen=True)
 class AverageReport:
-    """One exact expected Betti number and its binomial reference."""
+    """One exact expected Betti number and its binomial reference.
+
+    ``class_sums`` holds T(p + 1) and T(n - 2 - p).  ``term_count`` is the
+    number of anchored subsets they cover, C(n-1, p) + C(n-1, n-3-p), not the
+    number of terms the closed forms evaluate.
+    """
 
     n: int
     p: int
@@ -110,40 +143,64 @@ class AverageReport:
         return self.binomial - self.exact
 
 
-def _sum_terms(subsets: Iterator[IndexSubset], measure: Measure, workers: int) -> tuple[Fraction, int]:
-    items = list(subsets)
-    size = pool_size(workers, len(items))
-    if size <= 1:
-        values = [subset_volume_term(s, measure) for s in items]
-    else:
-        with ThreadPoolExecutor(max_workers=size) as pool:
-            values = list(pool.map(lambda s: subset_volume_term(s, measure), items))
-    return sum(values, Fraction(0)), len(items)
+def _check_exact_size(n: int, measure: Measure) -> None:
+    ceiling = EXACT_MAX_BARS[measure]
+    if n > ceiling:
+        raise DomainError(
+            f"exact {measure} expectations take at most {ceiling} bars, got {n}"
+        )
+
+
+def _irwin_hall_tail(m: int, k: int) -> Fraction:
+    """P(U_1 + ... + U_m > k) for m iid U[0, 1] and an integer k >= 0."""
+    below = sum((-1) ** j * math.comb(m, j) * (k - j) ** m for j in range(k + 1))
+    return 1 - Fraction(below, math.factorial(m))
+
+
+def _anchored_short_cube(n: int, k: int) -> Fraction:
+    """T(k) under the cube measure (module docstring)."""
+    return math.comb(n - 1, k - 1) * _irwin_hall_tail(n - 1, k)
+
+
+def _anchored_short_simplex(n: int, k: int) -> Fraction:
+    """T(k) under the simplex measure (module docstring)."""
+    signs = [Fraction(1)] * (k - 1) + [Fraction(-1)] * (n - k)
+    total = Fraction(0)
+    for a in range(k):
+        for b in range(n - k + 1):
+            rate = 1 + a + b
+            weight = Fraction(
+                (-1) ** (a + b) * math.comb(k - 1, a) * math.comb(n - k, b), rate
+            )
+            total += weight * slice_ratio(signs + [Fraction(1 + a - b, rate)])
+    return n * math.comb(n - 1, k - 1) * total
 
 
 def average_betti_exact(
     n: int, p: int, measure: Measure, workers: int = 1
 ) -> AverageReport:
-    """Exact expected p-th Betti number for n bars under the given measure."""
+    """Exact expected p-th Betti number for n bars under the given measure.
+
+    Evaluates the closed forms of the module docstring: no kernel call for
+    the cube measure, O(n^2) three-value slice ratios for the simplex.
+    Refused with DomainError above ``EXACT_MAX_BARS[measure]`` bars.
+    ``workers`` is accepted and ignored; the exact path starts no threads.
+    """
     _check_degree(n, p)
-    if n > EXACT_SCALE_TARGET:
-        warnings.warn(
-            f"exact expectation at n={n} exceeds the tuned range "
-            f"(n <= {EXACT_SCALE_TARGET}) and may be slow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    first, second = subset_classes(n, p)
-    sum1, count1 = _sum_terms(first, measure, workers)
-    sum2, count2 = _sum_terms(second, measure, workers)
+    _check_exact_size(n, measure)
+    anchored_short = (
+        _anchored_short_simplex if measure is Measure.SIMPLEX else _anchored_short_cube
+    )
+    first = anchored_short(n, p + 1)
+    second = first if n == 2 * p + 3 else anchored_short(n, n - 2 - p)
     return AverageReport(
         n=n,
         p=p,
         measure=measure,
-        exact=sum1 + sum2,
+        exact=first + second,
         binomial=math.comb(n - 1, p),
-        term_count=count1 + count2,
-        class_sums=(sum1, sum2),
+        term_count=math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p),
+        class_sums=(first, second),
     )
 
 
@@ -161,15 +218,19 @@ class ConvergenceRow:
 
 
 def convergence_table(
-    p: int, n_min: int, n_max: int, measure: Measure, workers: int = 1
+    p: int, n_min: int, n_max: int, measure: Measure
 ) -> list[ConvergenceRow]:
-    """Expected values against the binomial reference for n = n_min..n_max."""
+    """Expected values against the binomial reference for n = n_min..n_max.
+
+    ``n_max`` is checked against ``EXACT_MAX_BARS`` before the first row.
+    """
     if n_min < p + 3:
         raise DomainError(f"need n_min >= {p + 3} so degree {p} exists")
+    _check_exact_size(n_max, measure)
     rows: list[ConvergenceRow] = []
     previous_gap: Fraction | None = None
     for n in range(n_min, n_max + 1):
-        report = average_betti_exact(n, p, measure, workers=workers)
+        report = average_betti_exact(n, p, measure)
         gap = abs(report.gap)
         if previous_gap is None or previous_gap == 0:
             ratio = None
@@ -181,6 +242,22 @@ def convergence_table(
 
 
 _COMBO_BLOCK = 128
+
+# Bytes of 0/1 float64 subset rows ``average_betti_mc`` may build before its
+# first sample: every degree up to 21 bars (51 MiB at n = 21, p = 9, for a
+# 71 MiB allocation peak).  Central degrees at 22 bars (104 MiB) and beyond
+# are refused.
+MC_SETUP_BUDGET_BYTES = 2**26
+
+
+def _check_mc_setup(n: int, p: int) -> None:
+    rows = math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
+    need = rows * (n - 1) * 8
+    if need > MC_SETUP_BUDGET_BYTES:
+        raise DomainError(
+            f"Monte Carlo at n={n}, p={p} needs {need / 2**20:.0f} MiB of subset "
+            f"rows, above the {MC_SETUP_BUDGET_BYTES // 2**20} MiB budget"
+        )
 
 
 def _combination_blocks(n: int, cardinality: int) -> list[np.ndarray]:
@@ -210,9 +287,11 @@ def average_betti_mc(
     per-instance count reduces to short subsets through it at the two
     contributing cardinalities.  Ties and medians are probability-zero events
     in floating point and are ignored.  Chunk accumulators are exact integer
-    sums, so the estimate depends only on (seed, samples).
+    sums, so the estimate depends only on (seed, samples).  Refused with
+    DomainError when the subset rows would exceed ``MC_SETUP_BUDGET_BYTES``.
     """
     _check_degree(n, p)
+    _check_mc_setup(n, p)
     sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
     blocks = _combination_blocks(n, p + 1) + _combination_blocks(n, n - 2 - p)
 

@@ -166,7 +166,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker cap for engine parallelism "
+        help="worker threads for Monte Carlo sampling, used by sample only "
         "(default: LINKAGE_BETTI_THREADS or all cores)",
     )
 
@@ -305,7 +305,7 @@ def _average_row(report) -> dict[str, str | int]:
 
 
 def _cmd_average(args: argparse.Namespace, threads: int) -> OutputRecord:
-    report = average_betti_exact(args.n, args.p, Measure(args.measure), workers=threads)
+    report = average_betti_exact(args.n, args.p, Measure(args.measure))
     return OutputRecord(
         command="average",
         columns=(
@@ -344,7 +344,7 @@ def _cmd_convergence(args: argparse.Namespace, threads: int) -> OutputRecord:
         else (Measure(args.measure),)
     )
     tables = {
-        m: convergence_table(args.p, args.n_min, args.n_max, m, workers=threads)
+        m: convergence_table(args.p, args.n_min, args.n_max, m)
         for m in measures
     }
     for index in range(args.n_max - args.n_min + 1):

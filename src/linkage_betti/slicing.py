@@ -30,12 +30,15 @@ expansion like any Q_j.
 
 Two measured choices sit around the kernel.  The dispatcher evaluates
 whichever side of the cut has fewer distinct values and complements, since
-the fractions of the two open sides add to 1; on the exact-average inputs
-(n=14 simplex, n=16 cube) evaluating the negative side alone costs 1.4-1.6x
-as much.  An LRU cache keys on the grouped values, because the cube-measure
-averages revisit the same vertex values: 10,416 of the 11,440 calls at n=16
-hit, which more than halves their time.  All arithmetic is exact rational
-arithmetic.
+the fractions of the two open sides add to 1; on the vertex values of every
+anchored subset at n=14 (simplex) and n=16 (cube), the benchmark's slice
+corpora, evaluating the negative side alone costs 1.4-1.6x as much.  An LRU
+cache keys on the grouped values.  The cube-measure expectations do not call
+the kernel; the simplex closed form (``averages``) does, and its b = 0 terms
+(one value set for every a) and b = a + 1 terms (a zero value) repeat: 41 of
+the 110 calls hit at n = 14, p = 5, and 323 of 838 at n = 40, p = 18, where
+the cache takes the expectation from 1.0 to 0.7 s (medians of 5 fresh
+processes).  All arithmetic is exact rational arithmetic.
 """
 
 from __future__ import annotations

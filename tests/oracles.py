@@ -1,10 +1,13 @@
 """Independent oracles the test suite checks the library against.
 
 Nothing in this module calls the closed-form machinery under test.  The
-slice oracles integrate geometrically (exact polygon clipping in 2D, direct
-interval arithmetic in 1D) or evaluate the older closed forms the residue
-kernel replaced: the partial-fraction sum for distinct values and the
-weak-composition sum for repeated ones.  The Betti oracles re-derive subset
+exact-average oracle is the literal sum the closed forms replace: one slice
+ratio per anchored subset, from vertex values built here (the slice kernel
+itself is checked against the oracles below).  The slice oracles integrate
+geometrically (exact polygon clipping in 2D, direct interval arithmetic in
+1D) or evaluate the older closed forms the residue kernel replaced: the
+partial-fraction sum for distinct values and the weak-composition sum for
+repeated ones.  The Betti oracles re-derive subset
 counts by the most naive enumeration possible and by a Gray-code walk over
 every subset.  The vertex helpers spell out the sorted-region picture that
 ``simplexes.functional_values`` condenses.
@@ -18,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from linkage_betti import DomainError, Measure
+from linkage_betti import DomainError, Measure, slice_ratio
 
 Point = tuple[Fraction, Fraction]
 
@@ -151,6 +154,33 @@ def gray_code_class_counts(
         elif doubled == total:
             median[size] += 1
     return short, median
+
+
+def enumerated_class_sums(n: int, p: int, measure: Measure) -> tuple[Fraction, Fraction]:
+    """Sums of sorted-region short fractions over the anchored subsets of
+    cardinality p + 1 and n - 2 - p, one ``slice_ratio`` call per subset.
+
+    The vertex values of subset J are those of the ``simplexes`` docstring:
+    with h_i = |J intersect {1..i}|, (2 h_i - i) / i at vertex i for the
+    simplex measure, 2 h_i - i for the cube, and 0 at vertex 0.
+    """
+    if n < 3 or not 0 <= p <= n - 3:
+        raise DomainError(f"no degree {p} for {n} bars")
+
+    def class_sum(cardinality: int) -> Fraction:
+        total = Fraction(0)
+        for extra in itertools.combinations(range(2, n + 1), cardinality - 1):
+            members = {1, *extra}
+            values = [Fraction(0)]
+            hits = 0
+            for i in range(1, n + 1):
+                hits += i in members
+                value = Fraction(2 * hits - i)
+                values.append(value / i if measure is Measure.SIMPLEX else value)
+            total += slice_ratio(values)
+        return total
+
+    return class_sum(p + 1), class_sum(n - 2 - p)
 
 
 def distinct_slice_ratio(values: Sequence[Fraction]) -> Fraction:

@@ -23,7 +23,15 @@ The criteria, in order:
     a large random corpus of subsets;
  9. the cut distribution function is a genuine distribution function:
     monotone, pinned at the extreme vertex values, and continuous
-    across the knots between its polynomial pieces.
+    across the knots between its polynomial pieces;
+10. the cube-measure degree-0 gap equals (1 - C(n-1, 2)) / (n-1)! exactly
+    for 4 <= n <= 200;
+11. the cube-measure |gap| strictly decreases out to n = 200 for
+    p = 0..3;
+12. the simplex-measure |gap| strictly decreases for p = 0..3 out to
+    n = 36;
+13. the simplex-measure degree-0 gap approaches n / 2^(n-1): the ratio
+    rises toward 1 out to n = 40.
 """
 
 from __future__ import annotations
@@ -296,3 +304,49 @@ def test_criterion_9_cut_distribution_function():
                     values,
                     knot,
                 )
+
+
+def _gaps(p: int, n_max: int, measure: Measure) -> dict[int, Fraction]:
+    rows = convergence_table(p, p + 3, n_max, measure)
+    return {row.report.n: abs(row.report.gap) for row in rows}
+
+
+def test_criterion_10_cube_degree_zero_gap_closed_form():
+    with criterion(10, "cube degree-0 gap in closed form", 10.0):
+        for n in range(4, 201):
+            expected = Fraction(1 - math.comb(n - 1, 2), math.factorial(n - 1))
+            assert average_betti_exact(n, 0, Measure.CUBE).gap == expected, n
+
+
+def test_criterion_11_cube_gap_decay_to_200_bars():
+    with criterion(11, "cube gap decay to 200 bars", 10.0):
+        # first n from which |gap| strictly decreases, by degree
+        for p, start in ((0, 4), (1, 7), (2, 9), (3, 11)):
+            gaps = _gaps(p, 200, Measure.CUBE)
+            for n in range(start, 200):
+                assert gaps[n + 1] < gaps[n], (p, n)
+            assert not gaps[start] < gaps[start - 1], p
+
+
+def test_criterion_12_simplex_gap_decay():
+    # n = 36 is the largest bound that keeps the four tables near 5 s:
+    # about 4 s against 7 s to n = 40 (CPython 3.11, one Xeon vCPU).
+    with criterion(12, "simplex gap decay to 36 bars", 30.0):
+        for p, start in ((0, 3), (1, 4), (2, 7), (3, 12)):
+            gaps = _gaps(p, 36, Measure.SIMPLEX)
+            for n in range(start, 36):
+                assert gaps[n + 1] < gaps[n], (p, n)
+            if start > p + 3:
+                assert not gaps[start] < gaps[start - 1], p
+
+
+def test_criterion_13_simplex_degree_zero_gap_asymptotics():
+    with criterion(13, "simplex degree-0 gap against n / 2^(n-1)", 10.0):
+        gaps = _gaps(0, 40, Measure.SIMPLEX)
+        ratios = {n: gap * 2 ** (n - 1) / n for n, gap in gaps.items()}
+        assert ratios[4] == ratios[5] == Fraction(1, 2)
+        for n in range(5, 40):
+            assert ratios[n] < ratios[n + 1] < 1, n
+        assert ratios[10] == Fraction(29, 32)
+        assert 1 - ratios[20] < Fraction(5, 10**4)
+        assert 1 - ratios[40] < Fraction(2, 10**9)

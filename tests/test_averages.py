@@ -3,6 +3,8 @@
 Core claims exercised here:
   * subset classes enumerate exactly the contributing families, with the
     middle-degree coincidence double-counted;
+  * the closed forms equal the enumerated subset sum of ``tests/oracles.py``
+    (a ``hypothesis`` property test over every n <= 11);
   * the n = 3 expectations reproduce the classical stick-breaking values
     exactly (1/2 on the simplex, 1 on the cube);
   * engine regression values are pinned with full rational precision and
@@ -10,17 +12,21 @@ Core claims exercised here:
   * convergence tables expose signed gaps and shrink ratios, with None after
     an exactly-zero gap;
   * per-term bounds and anchor-relabeling invariance hold on the computed
-    range.
+    range;
+  * size ceilings refuse oversized exact and Monte Carlo requests at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkage_betti import (
     DomainError,
@@ -32,6 +38,9 @@ from linkage_betti import (
     subset_classes,
     subset_volume_term,
 )
+from linkage_betti.averages import EXACT_MAX_BARS, MC_SETUP_BUDGET_BYTES
+
+from oracles import enumerated_class_sums
 
 PIN_7_1_SIMPLEX = Fraction(131441, 27648)
 PIN_10_0_CUBE = Fraction(10369, 10368)
@@ -96,6 +105,21 @@ def test_middle_degree_double_count():
     assert report.exact == 2 * report.class_sums[0]
 
 
+@st.composite
+def _degrees(draw):
+    n = draw(st.integers(3, 11))
+    return n, draw(st.integers(0, n - 3)), draw(st.sampled_from(list(Measure)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_degrees())
+def test_closed_forms_match_the_enumerated_subset_sum(case):
+    n, p, measure = case
+    report = average_betti_exact(n, p, measure)
+    assert report.class_sums == enumerated_class_sums(n, p, measure)
+    assert report.term_count == math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
+
+
 def test_regression_pins():
     assert average_betti_exact(7, 1, Measure.SIMPLEX).exact == PIN_7_1_SIMPLEX
     report = average_betti_exact(10, 0, Measure.CUBE)
@@ -126,12 +150,34 @@ def test_workers_do_not_change_exact_result():
         )
 
 
-def test_scale_warning_beyond_tuned_range():
-    with pytest.warns(RuntimeWarning):
-        average_betti_exact(17, 0, Measure.CUBE)
+def test_no_scale_warning_past_the_old_tuned_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        average_betti_exact(10, 0, Measure.CUBE)
+        average_betti_exact(17, 0, Measure.CUBE)
+        average_betti_exact(17, 7, Measure.SIMPLEX)
+
+
+def test_exact_size_ceiling_refuses_before_any_work():
+    for measure in Measure:
+        ceiling = EXACT_MAX_BARS[measure]
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            average_betti_exact(ceiling + 1, (ceiling - 2) // 2, measure)
+        with pytest.raises(DomainError):
+            convergence_table(0, 3, ceiling + 1, measure)
+        assert time.perf_counter() - start < 0.25
+    assert average_betti_exact(EXACT_MAX_BARS[Measure.CUBE], 0, Measure.CUBE).exact > 0
+
+
+def test_mc_setup_budget_refuses_before_allocating():
+    # (C(29, 13) + C(29, 14)) * 29 rows of 8 bytes: about 34 GB of subset rows
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        average_betti_mc(30, 13, Measure.SIMPLEX, 1, 0)
+    assert time.perf_counter() - start < 0.25
+    # every degree up to 21 bars fits; n = 21, p = 9 is the largest
+    rows = math.comb(20, 9) + math.comb(20, 10)
+    assert rows * 20 * 8 <= MC_SETUP_BUDGET_BYTES
 
 
 def test_convergence_table_shape_and_ratios():

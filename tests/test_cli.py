@@ -19,8 +19,10 @@ from fractions import Fraction
 
 import pytest
 
+from linkage_betti.averages import EXACT_MAX_BARS
 from linkage_betti.cli import main
 from linkage_betti.linkages import MAX_BARS
+from linkage_betti.simplexes import Measure
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -293,6 +295,16 @@ def test_exit_code_3_on_domain_violations(capsys):
     assert main(["betti", "--lengths", "0,1,1"]) == 3
     assert main(["betti", "--lengths", ",".join(["1"] * (MAX_BARS + 1))]) == 3
     assert main(["average", "--n", "5", "--p", "7", "--measure", "cube"]) == 3
+    too_many = str(EXACT_MAX_BARS[Measure.SIMPLEX] + 1)
+    assert main(["average", "--n", too_many, "--p", "0", "--measure", "simplex"]) == 3
+    assert main(["convergence", "--p", "0", "--n-min", "3", "--n-max", too_many,
+                 "--measure", "both"]) == 3
+    # a whole cube table one bar past the ceiling would take over 5 s
+    past_cube = str(EXACT_MAX_BARS[Measure.CUBE] + 1)
+    assert main(["convergence", "--p", "0", "--n-min", "3", "--n-max", past_cube,
+                 "--measure", "cube"]) == 3
+    assert main(["sample", "--n", "30", "--p", "13", "--measure", "cube",
+                 "--samples", "1"]) == 3
     assert main(["sample", "--n", "4", "--p", "0", "--measure", "cube",
                  "--samples", "0"]) == 3
     capsys.readouterr()

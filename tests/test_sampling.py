@@ -6,12 +6,14 @@ Core claims exercised here:
   * results depend only on (seed, samples): reruns and different worker counts
     are bit-identical, including across chunk boundaries;
   * degenerate cases (certain events, single samples) behave as documented;
-  * thread pools hold at most one thread per work item and per CPU.
+  * thread pools hold at most one thread per work item and per CPU, and the
+    exact path starts none.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -22,7 +24,6 @@ from linkage_betti import (
     DomainError,
     Measure,
     average_betti_exact,
-    averages,
     mc_slice_ratio,
     sampling,
     slice_ratio,
@@ -138,8 +139,7 @@ def _recording_executor(sizes: list[int]):
 
 def test_thread_pools_are_capped_by_work_items_and_cpus(monkeypatch):
     sizes: list[int] = []
-    for module in (sampling, averages):
-        monkeypatch.setattr(module, "ThreadPoolExecutor", _recording_executor(sizes))
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", _recording_executor(sizes))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     values = [Fraction(-1), Fraction(1), Fraction(3)]
     serial = mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=1)
@@ -152,18 +152,20 @@ def test_thread_pools_are_capped_by_work_items_and_cpus(monkeypatch):
     ]
     assert sizes == [3, 2]
 
-    # two subset classes of 7 and 35 terms
-    exact = average_betti_exact(8, 1, Measure.CUBE, workers=1).exact
-    sizes.clear()
-    assert average_betti_exact(8, 1, Measure.CUBE, workers=5000).exact == exact
-    assert sizes == [3, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    sizes.clear()
-    # one term of size 1, then six of size 3
-    average_betti_exact(5, 0, Measure.SIMPLEX, workers=5000)
-    assert sizes == [6]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     sizes.clear()
     assert mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=5000) == serial
-    assert average_betti_exact(8, 1, Measure.CUBE, workers=5000).exact == exact
+    assert sizes == []
+
+    # the exact path starts no pool and no thread, whatever it is asked for
+    exact = average_betti_exact(8, 1, Measure.CUBE, workers=1)
+
+    def no_thread(self):
+        raise AssertionError("the exact path started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert average_betti_exact(8, 1, Measure.CUBE, workers=5000) == exact
+    assert average_betti_exact(9, 3, Measure.SIMPLEX, workers=5000) == average_betti_exact(
+        9, 3, Measure.SIMPLEX
+    )
     assert sizes == []
