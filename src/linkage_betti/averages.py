@@ -38,7 +38,9 @@ of J and B the n - k non-members.
 The exact path is rational arithmetic end to end and starts no threads; its
 cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path
 samples length vectors, evaluates the per-instance count on each, and is the
-independent cross-check of choice for the exact values.
+independent cross-check of choice for the exact values.  Only that path uses
+numpy, so ``_combination_blocks`` and ``average_betti_mc`` import it when they
+run; the exact path and the CLI commands built on it never load numpy.
 """
 
 from __future__ import annotations
@@ -47,20 +49,22 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError
 from .linkages import IndexSubset
 from .sampling import (
     MonteCarloEstimate,
+    _check_budget,
     map_chunks,
     sample_unit_cube,
     sample_unit_simplex,
 )
 from .simplexes import Measure, functional_values
 from .slicing import slice_ratio
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EXACT_MAX_BARS",
@@ -262,6 +266,8 @@ def _check_mc_setup(n: int, p: int) -> None:
 
 def _combination_blocks(n: int, cardinality: int) -> list[np.ndarray]:
     """0/1 matrices whose rows pick cardinality - 1 of the n - 1 trailing slots."""
+    import numpy as np
+
     picks = list(itertools.combinations(range(n - 1), cardinality - 1))
     blocks = []
     for start in range(0, len(picks), _COMBO_BLOCK):
@@ -288,10 +294,14 @@ def average_betti_mc(
     contributing cardinalities.  Ties and medians are probability-zero events
     in floating point and are ignored.  Chunk accumulators are exact integer
     sums, so the estimate depends only on (seed, samples).  Refused with
-    DomainError when the subset rows would exceed ``MC_SETUP_BUDGET_BYTES``.
+    DomainError, before any set-up, for a bad sample, seed or worker count,
+    and when the subset rows would exceed ``MC_SETUP_BUDGET_BYTES``.
     """
+    _check_budget(samples, seed, workers)
     _check_degree(n, p)
     _check_mc_setup(n, p)
+    import numpy as np
+
     sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
     blocks = _combination_blocks(n, p + 1) + _combination_blocks(n, n - 2 - p)
 

@@ -5,20 +5,24 @@ chunk k from a fresh generator seeded by (seed, k).  Results are therefore
 bit-identical for a given (seed, samples) pair no matter how many worker
 threads process the chunks, and chunk accumulators are exact integers so the
 reduction order cannot perturb the estimate either.
+
+numpy and ``concurrent.futures`` are imported inside the functions that draw
+or pool, not at module top: importing numpy costs about 0.2 s of CPU and
+starts OpenBLAS threads, which every process that never samples would pay.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CHUNK_SIZE",
@@ -43,11 +47,13 @@ class MonteCarloEstimate:
     seed: int
 
 
-def _check_budget(samples: int, seed: int) -> None:
+def _check_budget(samples: int, seed: int, workers: int) -> None:
     if samples < 1:
         raise DomainError("need at least one sample")
     if seed < 0:
         raise DomainError("seed must be nonnegative")
+    if workers < 1:
+        raise DomainError("need at least one worker")
 
 
 def _chunks(samples: int) -> Iterable[tuple[int, int]]:
@@ -63,6 +69,8 @@ def _chunks(samples: int) -> Iterable[tuple[int, int]]:
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
     """The generator owned by one chunk; depends only on (seed, index)."""
+    import numpy as np
+
     return np.random.default_rng([seed, index])
 
 
@@ -82,13 +90,13 @@ def map_chunks(
     The pool has ``pool_size(workers, chunks)`` threads, however many
     ``workers`` are asked for.
     """
-    _check_budget(samples, seed)
-    if workers < 1:
-        raise DomainError("need at least one worker")
+    _check_budget(samples, seed, workers)
     jobs = list(_chunks(samples))
     size = pool_size(workers, len(jobs))
     if size == 1:
         return [worker(chunk_rng(seed, i), count) for i, count in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=size) as pool:
         futures = [pool.submit(worker, chunk_rng(seed, i), count) for i, count in jobs]
         return [f.result() for f in futures]
@@ -122,6 +130,8 @@ def mc_slice_ratio(
     reported standard error is the binomial one; it is 0 when the empirical
     rate is 0 or 1, so compare against exact values with a floor in mind.
     """
+    import numpy as np
+
     vertex_values = np.array([float(v) for v in values], dtype=np.float64)
     if vertex_values.size < 2:
         raise DomainError("need an ambient simplex dimension of at least 1")

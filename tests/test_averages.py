@@ -180,6 +180,17 @@ def test_mc_setup_budget_refuses_before_allocating():
     assert rows * 20 * 8 <= MC_SETUP_BUDGET_BYTES
 
 
+@pytest.mark.parametrize(
+    "samples, seed, workers", [(0, 0, 1), (10, -1, 1), (10, 0, 0)]
+)
+def test_mc_refuses_bad_budgets_before_allocating(samples, seed, workers):
+    # n = 21, p = 9 fits the set-up budget but builds about 51 MiB of rows
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        average_betti_mc(21, 9, Measure.SIMPLEX, samples, seed, workers=workers)
+    assert time.perf_counter() - start < 0.25
+
+
 def test_convergence_table_shape_and_ratios():
     rows = convergence_table(0, 3, 10, Measure.SIMPLEX)
     assert [r.report.n for r in rows] == list(range(3, 11))

@@ -307,6 +307,8 @@ def test_exit_code_3_on_domain_violations(capsys):
                  "--samples", "1"]) == 3
     assert main(["sample", "--n", "4", "--p", "0", "--measure", "cube",
                  "--samples", "0"]) == 3
+    assert main(["sample", "--n", "21", "--p", "9", "--measure", "simplex",
+                 "--samples", "10", "--seed", "-1"]) == 3
     capsys.readouterr()
 
 

@@ -12,6 +12,7 @@ Core claims exercised here:
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import threading
 from concurrent.futures import Future
@@ -25,7 +26,6 @@ from linkage_betti import (
     Measure,
     average_betti_exact,
     mc_slice_ratio,
-    sampling,
     slice_ratio,
 )
 from linkage_betti.sampling import (
@@ -139,7 +139,8 @@ def _recording_executor(sizes: list[int]):
 
 def test_thread_pools_are_capped_by_work_items_and_cpus(monkeypatch):
     sizes: list[int] = []
-    monkeypatch.setattr(sampling, "ThreadPoolExecutor", _recording_executor(sizes))
+    # map_chunks imports the executor when it pools, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(sizes))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     values = [Fraction(-1), Fraction(1), Fraction(3)]
     serial = mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=1)
