@@ -6,12 +6,12 @@ The library has three layers:
   Betti numbers of its moduli space via anchored short/median subset counts;
 * :mod:`linkage_betti.simplexes` and :mod:`linkage_betti.slicing` compute
   exact volume fractions of a simplex on one side of a linear cut, the
-  geometric kernel behind the averages;
+  geometric picture that the averages' closed forms condense;
 * :mod:`linkage_betti.averages` computes exact expected Betti numbers under
-  two random-length models from closed forms (three-value slice ratios for
-  the uniform law on the probability simplex, an Irwin-Hall tail for iid
-  uniform lengths on the cube) and cross-checks them by seeded Monte Carlo
-  (:mod:`linkage_betti.sampling`).
+  two random-length models from closed forms (an integer sum over races of
+  Gamma sums for the uniform law on the probability simplex, an Irwin-Hall
+  tail for iid uniform lengths on the cube) and cross-checks them by seeded
+  Monte Carlo (:mod:`linkage_betti.sampling`).
 
 The ``linkage-betti`` console script exposes all of it; see the README.
 """
@@ -23,7 +23,6 @@ from .averages import (
     average_betti_mc,
     convergence_table,
     subset_classes,
-    subset_volume_term,
 )
 from .errors import DomainError
 from .linkages import (
@@ -77,7 +76,6 @@ __all__ = [
     "AverageReport",
     "ConvergenceRow",
     "subset_classes",
-    "subset_volume_term",
     "average_betti_exact",
     "average_betti_mc",
     "convergence_table",

@@ -14,7 +14,7 @@ twice.
 
 Read literally, T(k) is a sum over the C(n-1, k-1) anchored subsets J of the
 sorted-region volume fraction r(J) on which J is short (``subset_classes``
-and ``subset_volume_term`` below, kept as that definition).  Exchangeability
+below lists them; ``tests/oracles.py`` sums that definition).  Exchangeability
 collapses the sum to O(n^2) terms.  Below, A holds the k - 1 other members
 of J and B the n - k non-members.
 
@@ -27,13 +27,21 @@ of J and B the n - k non-members.
   it into: the sum of all n - 1 exceeds k.
 * simplex measure (uniform on the probability simplex):
       T(k) = n C(n-1, k-1) * sum_{a < k, b <= n-k} (-1)^(a+b) C(k-1, a)
-             C(n-k, b) / (1+a+b) * slice_ratio(1^(k-1), (-1)^(n-k), c_ab),
-  c_ab = (1+a-b)/(1+a+b), with exponents marking multiplicities.  The
-  lengths are iid Exp(1) up to scale; condition on the longest bar being t,
-  expand "every other bar < t" by inclusion-exclusion over the a members and
-  b non-members that exceed t, and by memorylessness those become t plus
-  fresh exponentials; the remaining comparison is the sign of a linear form
-  in n iid exponentials, a slice ratio on three distinct values.
+             C(n-k, b) / (1+a+b) * G(k-1, n-k, c_ab),
+  c_ab = (1+a-b)/(1+a+b).  The lengths are iid Exp(1) up to scale; condition
+  on the longest bar being t, expand "every other bar < t" by
+  inclusion-exclusion over the a members and b non-members that exceed t,
+  and by memorylessness those become t plus fresh exponentials.  What is
+  left is G(K, m, c) = P(Gamma_K + c E < Gamma'_m), E ~ Exp(1), where
+  Gamma_K and Gamma'_m are the K-th and m-th arrivals of two independent
+  rate-1 Poisson processes.  Their merged arrivals are fair coin flips, so
+  with probability C(K-1+i, i) / 2^(K+i) exactly i < m arrivals of the
+  second come before the K-th of the first.  By memorylessness the second
+  then needs m - i fresh arrivals, all before c E with probability r^(m-i),
+  as P(Gamma_j < c E) = (c/(1+c))^j = r^j.  So for c >= 0
+      G(K, m, c) = sum_{i < m} C(K-1+i, i) 2^-(K+i) (1 - r^(m-i)),
+  which is 1 - r^m when K = 0, and G(K, m, c) = 1 - G(m, K, |c|) for c < 0.
+  Each (a, b) term, r = (1+a-b)/(2+2a) or (b-1-a)/(2b), is one integer loop.
 
 The exact path is rational arithmetic end to end and starts no threads; its
 cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path
@@ -60,8 +68,7 @@ from .sampling import (
     sample_unit_cube,
     sample_unit_simplex,
 )
-from .simplexes import Measure, functional_values
-from .slicing import slice_ratio
+from .simplexes import Measure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,7 +79,6 @@ __all__ = [
     "AverageReport",
     "ConvergenceRow",
     "subset_classes",
-    "subset_volume_term",
     "average_betti_exact",
     "convergence_table",
     "average_betti_mc",
@@ -81,12 +87,13 @@ __all__ = [
 # Largest bar count per measure, for single values and convergence tables
 # alike.  The costliest request it admits is a whole table, n = p + 3 up to
 # the ceiling, at its costliest degree; that takes about 5 s (CPython 3.11,
-# one Xeon vCPU): simplex p = 16 to 44 bars 5.3 s (45 bars 5.8 s), cube
-# p = 0 to 900 bars 4.7 s (1,000 bars 7.0 s).  One central degree at the
-# ceiling takes 0.6 s (simplex) and 0.02 s (cube).  The cube rationals have
-# about 2,300 digits at 900 bars, within the 4,300 that Python's default
-# int-to-str conversion prints.
-EXACT_MAX_BARS = {Measure.SIMPLEX: 44, Measure.CUBE: 900}
+# one Xeon vCPU): cube p = 0 to 900 bars 4.7 s (1,000 bars 7.0 s).  In a
+# later, slower session where that cube table took 9.1-11.4 s, simplex
+# p = 34 to 100 bars took 5.5-6.5 s (105 bars 6.4-7.1 s).  One central
+# degree at the ceiling takes 0.3 s (simplex) and 0.02 s (cube).  The
+# rationals have about 2,300 digits (cube) and 1,100 (simplex) at the
+# ceilings, within the 4,300 that Python's default int-to-str prints.
+EXACT_MAX_BARS = {Measure.SIMPLEX: 100, Measure.CUBE: 900}
 
 
 def _check_degree(n: int, p: int) -> None:
@@ -110,18 +117,6 @@ def subset_classes(n: int, p: int) -> tuple[Iterator[IndexSubset], Iterator[Inde
             yield IndexSubset.of((1,) + extra, n)
 
     return anchored(p + 1), anchored(n - 2 - p)
-
-
-def subset_volume_term(subset: IndexSubset, measure: Measure) -> Fraction:
-    """Sorted-region volume fraction on which the subset is short.
-
-    This is the probability, under the given measure conditioned on the
-    decreasing arrangement, that the bars in J sum to less than the rest;
-    equivalently the negative-side slice ratio of J's signed-sum functional.
-    """
-    if len(subset) == 0:
-        raise DomainError("the subset must be nonempty")
-    return slice_ratio(functional_values(subset, measure))
 
 
 @dataclass(frozen=True)
@@ -166,17 +161,36 @@ def _anchored_short_cube(n: int, k: int) -> Fraction:
     return math.comb(n - 1, k - 1) * _irwin_hall_tail(n - 1, k)
 
 
+def _race(K: int, m: int, s: int, t: int) -> tuple[int, int]:
+    """G(K, m, s/t) for t > 0 as (numerator, denominator), exactly.
+
+    For s >= 0, r = s/v with v = s + t.  Over the denominator 2^(K+m-1) v^m,
+    term i of G is C(K-1+i, i) 2^(m-1-i) (v^m - s^(m-i) v^i); one Horner
+    loop adds up the s-parts.
+    """
+    if s < 0:
+        top, bottom = _race(m, K, -s, t)
+        return bottom - top, bottom
+    whole = horner = 0
+    binomial = v_power = 1
+    for i in range(m):
+        weight = binomial << (m - 1 - i)
+        whole += weight
+        horner = horner * s + weight * v_power
+        v_power *= s + t
+        binomial = binomial * (K + i) // (i + 1)
+    return whole * v_power - s * horner, v_power << (K + m - 1)
+
+
 def _anchored_short_simplex(n: int, k: int) -> Fraction:
     """T(k) under the simplex measure (module docstring)."""
-    signs = [Fraction(1)] * (k - 1) + [Fraction(-1)] * (n - k)
+    K, m = k - 1, n - k
     total = Fraction(0)
     for a in range(k):
-        for b in range(n - k + 1):
-            rate = 1 + a + b
-            weight = Fraction(
-                (-1) ** (a + b) * math.comb(k - 1, a) * math.comb(n - k, b), rate
-            )
-            total += weight * slice_ratio(signs + [Fraction(1 + a - b, rate)])
+        for b in range(m + 1):
+            top, bottom = _race(K, m, 1 + a - b, 1 + a + b)
+            weight = (-1) ** (a + b) * math.comb(K, a) * math.comb(m, b)
+            total += Fraction(weight * top, (1 + a + b) * bottom)
     return n * math.comb(n - 1, k - 1) * total
 
 
@@ -185,8 +199,9 @@ def average_betti_exact(
 ) -> AverageReport:
     """Exact expected p-th Betti number for n bars under the given measure.
 
-    Evaluates the closed forms of the module docstring: no kernel call for
-    the cube measure, O(n^2) three-value slice ratios for the simplex.
+    Evaluates the closed forms of the module docstring, neither of which
+    calls the slice kernel: an Irwin-Hall tail for the cube measure and
+    O(n^2) integer sums G for the simplex.
     Refused with DomainError above ``EXACT_MAX_BARS[measure]`` bars.
     ``workers`` is accepted and ignored; the exact path starts no threads.
     """

@@ -305,21 +305,8 @@ def _average_row(report) -> dict[str, str | int]:
 
 
 def _cmd_average(args: argparse.Namespace, threads: int) -> OutputRecord:
-    report = average_betti_exact(args.n, args.p, Measure(args.measure))
-    return OutputRecord(
-        command="average",
-        columns=(
-            "n",
-            "p",
-            "measure",
-            "exact_rational",
-            "exact_decimal",
-            "binomial",
-            "gap_rational",
-            "gap_decimal",
-        ),
-        rows=[_average_row(report)],
-    )
+    row = _average_row(average_betti_exact(args.n, args.p, Measure(args.measure)))
+    return OutputRecord(command="average", columns=tuple(row), rows=[row])
 
 
 def _cmd_convergence(args: argparse.Namespace, threads: int) -> OutputRecord:

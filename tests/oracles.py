@@ -3,11 +3,14 @@
 Nothing in this module calls the closed-form machinery under test.  The
 exact-average oracle is the literal sum the closed forms replace: one slice
 ratio per anchored subset, from vertex values built here (the slice kernel
-itself is checked against the oracles below).  The slice oracles integrate
-geometrically (exact polygon clipping in 2D, direct interval arithmetic in
-1D) or evaluate the older closed forms the residue kernel replaced: the
-partial-fraction sum for distinct values and the weak-composition sum for
-repeated ones.  The Betti oracles re-derive subset
+itself is checked against the oracles below).  ``subset_volume_term`` is one
+term of that sum for a given subset, and ``three_value_class_sum`` is the
+earlier simplex closed form, which sends each Gamma race of the ``averages``
+docstring through the slice kernel as a cut on three distinct values.  The
+slice oracles integrate geometrically (exact polygon clipping in 2D, direct
+interval arithmetic in 1D) or evaluate the older closed forms the residue
+kernel replaced: the partial-fraction sum for distinct values and the
+weak-composition sum for repeated ones.  The Betti oracles re-derive subset
 counts by the most naive enumeration possible and by a Gray-code walk over
 every subset.  The vertex helpers spell out the sorted-region picture that
 ``simplexes.functional_values`` condenses.
@@ -21,7 +24,13 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from linkage_betti import DomainError, Measure, slice_ratio
+from linkage_betti import (
+    DomainError,
+    IndexSubset,
+    Measure,
+    functional_values,
+    slice_ratio,
+)
 
 Point = tuple[Fraction, Fraction]
 
@@ -181,6 +190,36 @@ def enumerated_class_sums(n: int, p: int, measure: Measure) -> tuple[Fraction, F
         return total
 
     return class_sum(p + 1), class_sum(n - 2 - p)
+
+
+def subset_volume_term(subset: IndexSubset, measure: Measure) -> Fraction:
+    """Sorted-region volume fraction on which the subset is short.
+
+    This is the probability, under the given measure conditioned on the
+    decreasing arrangement, that the bars in J sum to less than the rest;
+    equivalently the negative-side slice ratio of J's signed-sum functional.
+    """
+    if len(subset) == 0:
+        raise DomainError("the subset must be nonempty")
+    return slice_ratio(functional_values(subset, measure))
+
+
+def three_value_class_sum(n: int, k: int) -> Fraction:
+    """T(k) under the simplex measure, one slice ratio per (a, b) term.
+
+    P(Gamma_{k-1} + c E < Gamma'_{n-k}) is the negative-side fraction of the
+    values 1 (k - 1 times), -1 (n - k times) and c = (1+a-b)/(1+a+b).
+    """
+    signs = [Fraction(1)] * (k - 1) + [Fraction(-1)] * (n - k)
+    total = Fraction(0)
+    for a in range(k):
+        for b in range(n - k + 1):
+            rate = 1 + a + b
+            weight = Fraction(
+                (-1) ** (a + b) * math.comb(k - 1, a) * math.comb(n - k, b), rate
+            )
+            total += weight * slice_ratio(signs + [Fraction(1 + a - b, rate)])
+    return n * math.comb(n - 1, k - 1) * total
 
 
 def distinct_slice_ratio(values: Sequence[Fraction]) -> Fraction:

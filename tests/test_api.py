@@ -1,6 +1,13 @@
-"""The public API: ``linkage_betti.__all__`` is pinned and every name resolves."""
+"""The public API: ``linkage_betti.__all__`` is pinned and every name resolves.
+
+The package source is also pinned to ASCII: the benchmark reads every
+``src/*.py`` with the locale's encoding, which under ``LC_ALL=C`` cannot
+decode anything else.
+"""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import linkage_betti
 
@@ -31,7 +38,6 @@ PUBLIC = {
     "AverageReport",
     "ConvergenceRow",
     "subset_classes",
-    "subset_volume_term",
     "average_betti_exact",
     "average_betti_mc",
     "convergence_table",
@@ -43,3 +49,10 @@ def test_public_names_are_pinned_and_resolve():
     assert set(linkage_betti.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(linkage_betti, name) is not None, name
+
+
+def test_source_is_ascii():
+    sources = sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py"))
+    assert sources
+    for path in sources:
+        path.read_bytes().decode("ascii")

@@ -4,7 +4,9 @@ Core claims exercised here:
   * subset classes enumerate exactly the contributing families, with the
     middle-degree coincidence double-counted;
   * the closed forms equal the enumerated subset sum of ``tests/oracles.py``
-    (a ``hypothesis`` property test over every n <= 11);
+    (a ``hypothesis`` property test over every n <= 11), and the simplex
+    T(k) equals the earlier three-value slice-kernel form (every k at
+    n <= 20, and the central k at n = 40 and 44) without calling the kernel;
   * the n = 3 expectations reproduce the classical stick-breaking values
     exactly (1/2 on the simplex, 1 on the cube);
   * engine regression values are pinned with full rational precision and
@@ -18,6 +20,8 @@ Core claims exercised here:
 
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 import math
 import time
@@ -36,11 +40,12 @@ from linkage_betti import (
     average_betti_mc,
     convergence_table,
     subset_classes,
-    subset_volume_term,
 )
+from linkage_betti import averages, cli
 from linkage_betti.averages import EXACT_MAX_BARS, MC_SETUP_BUDGET_BYTES
+from linkage_betti.slicing import _cached_ratio
 
-from oracles import enumerated_class_sums
+from oracles import enumerated_class_sums, subset_volume_term, three_value_class_sum
 
 PIN_7_1_SIMPLEX = Fraction(131441, 27648)
 PIN_10_0_CUBE = Fraction(10369, 10368)
@@ -120,6 +125,38 @@ def test_closed_forms_match_the_enumerated_subset_sum(case):
     assert report.term_count == math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
 
 
+@st.composite
+def _anchored_sizes(draw):
+    n = draw(st.integers(3, 20))
+    return n, draw(st.integers(1, n - 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_anchored_sizes())
+def test_simplex_closed_form_matches_the_three_value_oracle(case):
+    n, k = case
+    assert averages._anchored_short_simplex(n, k) == three_value_class_sum(n, k)
+
+
+@pytest.mark.parametrize("n", [40, 44])
+def test_simplex_closed_form_matches_the_three_value_oracle_at_scale(n):
+    k = n // 2
+    assert averages._anchored_short_simplex(n, k) == three_value_class_sum(n, k)
+
+
+def test_exact_paths_make_no_slice_kernel_call():
+    imports = [node for node in ast.walk(ast.parse(inspect.getsource(averages)))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {getattr(node, "module", None) for node in imports}
+    names = {alias.name for node in imports for alias in node.names}
+    assert "slicing" not in modules and "slice_ratio" not in names
+    assert "functional_values" not in names
+    before = _cached_ratio.cache_info()
+    average_betti_exact(30, 13, Measure.SIMPLEX)
+    convergence_table(2, 5, 24, Measure.SIMPLEX)
+    assert _cached_ratio.cache_info() == before
+
+
 def test_regression_pins():
     assert average_betti_exact(7, 1, Measure.SIMPLEX).exact == PIN_7_1_SIMPLEX
     report = average_betti_exact(10, 0, Measure.CUBE)
@@ -157,7 +194,7 @@ def test_no_scale_warning_past_the_old_tuned_range():
         average_betti_exact(17, 7, Measure.SIMPLEX)
 
 
-def test_exact_size_ceiling_refuses_before_any_work():
+def test_exact_size_ceiling_refuses_before_any_work(capsys):
     for measure in Measure:
         ceiling = EXACT_MAX_BARS[measure]
         start = time.perf_counter()
@@ -167,6 +204,16 @@ def test_exact_size_ceiling_refuses_before_any_work():
             convergence_table(0, 3, ceiling + 1, measure)
         assert time.perf_counter() - start < 0.25
     assert average_betti_exact(EXACT_MAX_BARS[Measure.CUBE], 0, Measure.CUBE).exact > 0
+    # the simplex ceiling's central degree prints in full, under the
+    # 4,300-digit int-to-str limit
+    ceiling = str(EXACT_MAX_BARS[Measure.SIMPLEX])
+    central = str((EXACT_MAX_BARS[Measure.SIMPLEX] - 3) // 2)
+    assert cli.main(["average", "--n", ceiling, "--p", central, "--measure",
+                     "simplex", "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:3] == [ceiling, central, "simplex"]
+    assert Fraction(row[3]) > 0
+    assert max(len(part) for part in row[3].split("/")) < 4300
 
 
 def test_mc_setup_budget_refuses_before_allocating():
