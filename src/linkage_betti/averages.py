@@ -46,9 +46,10 @@ of J and B the n - k non-members.
 The exact path is rational arithmetic end to end and starts no threads; its
 cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path
 samples length vectors, evaluates the per-instance count on each, and is the
-independent cross-check of choice for the exact values.  Only that path uses
-numpy, so ``_combination_blocks`` and ``average_betti_mc`` import it when they
-run; the exact path and the CLI commands built on it never load numpy.
+independent cross-check of choice for the exact values, counted in L2-sized
+row tiles of a 0/1 pick matrix product.  Only that path uses numpy, so
+``_pick_matrix`` and ``average_betti_mc`` import it when they run; the exact
+path and the CLI commands built on it never load numpy.
 """
 
 from __future__ import annotations
@@ -86,13 +87,12 @@ __all__ = [
 
 # Largest bar count per measure, for single values and convergence tables
 # alike.  The costliest request it admits is a whole table, n = p + 3 up to
-# the ceiling, at its costliest degree; that takes about 5 s (CPython 3.11,
-# one Xeon vCPU): cube p = 0 to 900 bars 4.7 s (1,000 bars 7.0 s).  In a
-# later, slower session where that cube table took 9.1-11.4 s, simplex
-# p = 34 to 100 bars took 5.5-6.5 s (105 bars 6.4-7.1 s).  One central
-# degree at the ceiling takes 0.3 s (simplex) and 0.02 s (cube).  The
-# rationals have about 2,300 digits (cube) and 1,100 (simplex) at the
-# ceilings, within the 4,300 that Python's default int-to-str prints.
+# the ceiling, at its costliest degree.  Timed interleaved, 3 runs each
+# (CPython 3.11, one Xeon vCPU): cube p = 0 to 900 bars 11.6-12.3 s, simplex
+# p = 34 to 100 bars 6.1-6.2 s.  One central degree at the ceiling takes
+# 0.22 s (simplex) and 0.03 s (cube).  The rationals have about 2,300 digits
+# (cube) and 1,100 (simplex) at the ceilings, within the 4,300 that Python's
+# default int-to-str prints.
 EXACT_MAX_BARS = {Measure.SIMPLEX: 100, Measure.CUBE: 900}
 
 
@@ -260,38 +260,38 @@ def convergence_table(
     return rows
 
 
-_COMBO_BLOCK = 128
-
-# Bytes of 0/1 float64 subset rows ``average_betti_mc`` may build before its
-# first sample: every degree up to 21 bars (51 MiB at n = 21, p = 9, for a
-# 71 MiB allocation peak).  Central degrees at 22 bars (104 MiB) and beyond
-# are refused.
+# Bytes of the 0/1 float64 pick matrix ``average_betti_mc`` may build before
+# its first sample: every degree up to 21 bars fits (51 MiB at n = 21, p = 9,
+# for a 60 MiB allocation peak), central degrees at 22 bars (104 MiB) do not.
 MC_SETUP_BUDGET_BYTES = 2**26
 
+# Bytes of float64 sums in one row tile, sized so that they stay in L2.
+_TILE_BYTES = 2**18
 
-def _check_mc_setup(n: int, p: int) -> None:
-    rows = math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
-    need = rows * (n - 1) * 8
+
+def _pick_matrix(n: int, p: int) -> np.ndarray:
+    """0/1 matrix, n - 1 by S, with one column per contributing subset that
+    marks its members among the n - 1 bars after the anchor.  Refused with
+    DomainError, before numpy loads, above ``MC_SETUP_BUDGET_BYTES``."""
+    sizes = (p, n - 3 - p)
+    counts = [math.comb(n - 1, size) for size in sizes]
+    need = sum(counts) * (n - 1) * 8
     if need > MC_SETUP_BUDGET_BYTES:
         raise DomainError(
             f"Monte Carlo at n={n}, p={p} needs {need / 2**20:.0f} MiB of subset "
             f"rows, above the {MC_SETUP_BUDGET_BYTES // 2**20} MiB budget"
         )
-
-
-def _combination_blocks(n: int, cardinality: int) -> list[np.ndarray]:
-    """0/1 matrices whose rows pick cardinality - 1 of the n - 1 trailing slots."""
     import numpy as np
 
-    picks = list(itertools.combinations(range(n - 1), cardinality - 1))
-    blocks = []
-    for start in range(0, len(picks), _COMBO_BLOCK):
-        chunk = picks[start : start + _COMBO_BLOCK]
-        mat = np.zeros((len(chunk), n - 1), dtype=np.float64)
-        for row, cols in enumerate(chunk):
-            mat[row, list(cols)] = 1.0
-        blocks.append(mat)
-    return blocks
+    picks = np.zeros((n - 1, sum(counts)))
+    for size, count, start in zip(sizes, counts, (0, counts[0])):
+        # int16 holds every slot: n <= 257 under MC_SETUP_BUDGET_BYTES
+        combos = itertools.chain.from_iterable(itertools.combinations(range(n - 1), size))
+        members = np.fromiter(combos, np.int16, count * size).reshape(count, size)
+        columns = np.arange(start, start + count)
+        for slot in members.T:
+            picks[slot, columns] = 1.0
+    return picks
 
 
 def average_betti_mc(
@@ -306,30 +306,33 @@ def average_betti_mc(
 
     Each sample is sorted decreasingly; the largest bar is the anchor and the
     per-instance count reduces to short subsets through it at the two
-    contributing cardinalities.  Ties and medians are probability-zero events
-    in floating point and are ignored.  Chunk accumulators are exact integer
-    sums, so the estimate depends only on (seed, samples).  Refused with
-    DomainError, before any set-up, for a bad sample, seed or worker count,
-    and when the subset rows would exceed ``MC_SETUP_BUDGET_BYTES``.
+    contributing cardinalities, one ``_pick_matrix`` column each, counted in
+    row tiles of ``_TILE_BYTES`` of sums.  Ties and medians are
+    probability-zero events in floating point and are ignored.  Chunk
+    accumulators are exact integer sums, so the estimate depends only on
+    (seed, samples).  Refused with DomainError, before any set-up, for a bad
+    sample, seed or worker count, and when the pick matrix would exceed
+    ``MC_SETUP_BUDGET_BYTES``.
     """
     _check_budget(samples, seed, workers)
     _check_degree(n, p)
-    _check_mc_setup(n, p)
+    picks = _pick_matrix(n, p)
     import numpy as np
 
     sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
-    blocks = _combination_blocks(n, p + 1) + _combination_blocks(n, n - 2 - p)
+    tile = max(1, _TILE_BYTES // (8 * picks.shape[1]))
 
     def worker(rng: np.random.Generator, count: int) -> tuple[int, int]:
         points = sampler(rng, count, n)
         points = -np.sort(-points, axis=1)
-        anchor = points[:, 0]
-        rest = points[:, 1:]
-        half = points.sum(axis=1) * 0.5
-        per_sample = np.zeros(count, dtype=np.int64)
-        for block in blocks:
-            sums = anchor[:, None] + rest @ block.T
-            per_sample += (sums < half[:, None]).sum(axis=1)
+        anchor, rest = points[:, :1], points[:, 1:]
+        half = points.sum(axis=1, keepdims=True) * 0.5
+        per_sample = np.empty(count, dtype=np.int64)
+        for start in range(0, count, tile):
+            rows = slice(start, start + tile)
+            sums = rest[rows] @ picks
+            np.add(anchor[rows], sums, out=sums)
+            per_sample[rows] = np.count_nonzero(sums < half[rows], axis=1)
         return int(per_sample.sum()), int(np.dot(per_sample, per_sample))
 
     parts = map_chunks(worker, samples, seed, workers)

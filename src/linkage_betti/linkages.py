@@ -153,9 +153,6 @@ class BettiProfile:
     short_counts: tuple[int, ...]
     median_counts: tuple[int, ...]
 
-    def total_rank(self) -> int:
-        return sum(self.values)
-
     def is_empty_space(self) -> bool:
         """True when the moduli space has no points (anchor bar is long)."""
         return all(v == 0 for v in self.values)

@@ -12,8 +12,10 @@ interval arithmetic in 1D) or evaluate the older closed forms the residue
 kernel replaced: the partial-fraction sum for distinct values and the
 weak-composition sum for repeated ones.  The Betti oracles re-derive subset
 counts by the most naive enumeration possible and by a Gray-code walk over
-every subset.  The vertex helpers spell out the sorted-region picture that
-``simplexes.functional_values`` condenses.
+every subset.  ``blockwise_mc_counts`` is the Monte Carlo count that the
+tiled kernel of ``average_betti_mc`` replaced: 128-subset blocks, each summed
+over a whole chunk at once.  The vertex helpers spell out the sorted-region
+picture that ``simplexes.functional_values`` condenses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from linkage_betti import (
     DomainError,
@@ -220,6 +224,38 @@ def three_value_class_sum(n: int, k: int) -> Fraction:
             )
             total += weight * slice_ratio(signs + [Fraction(1 + a - b, rate)])
     return n * math.comb(n - 1, k - 1) * total
+
+
+def blockwise_mc_counts(
+    sampler: Callable[[np.random.Generator, int, int], np.ndarray],
+    n: int,
+    p: int,
+    rng: np.random.Generator,
+    count: int,
+) -> np.ndarray:
+    """Per-sample counts of short subsets through the longest bar, as int64.
+
+    Draws ``count`` length vectors from ``sampler`` and, for each block of 128
+    contributing subsets (cardinality p + 1, then n - 2 - p), forms the
+    float64 sums anchor + picked bars of the whole chunk and counts those
+    below half the total.
+    """
+    points = sampler(rng, count, n)
+    points = -np.sort(-points, axis=1)
+    anchor = points[:, 0]
+    rest = points[:, 1:]
+    half = points.sum(axis=1) * 0.5
+    per_sample = np.zeros(count, dtype=np.int64)
+    for cardinality in (p + 1, n - 2 - p):
+        picks = list(itertools.combinations(range(n - 1), cardinality - 1))
+        for start in range(0, len(picks), 128):
+            rows = picks[start : start + 128]
+            block = np.zeros((len(rows), n - 1))
+            for row, cols in enumerate(rows):
+                block[row, list(cols)] = 1.0
+            sums = anchor[:, None] + rest @ block.T
+            per_sample += (sums < half[:, None]).sum(axis=1)
+    return per_sample
 
 
 def distinct_slice_ratio(values: Sequence[Fraction]) -> Fraction:

@@ -15,7 +15,10 @@ Core claims exercised here:
     an exactly-zero gap;
   * per-term bounds and anchor-relabeling invariance hold on the computed
     range;
-  * size ceilings refuse oversized exact and Monte Carlo requests at once.
+  * size ceilings refuse oversized exact and Monte Carlo requests at once;
+  * the tiled Monte Carlo count reproduces pinned estimates and the earlier
+    blockwise kernel of ``tests/oracles.py`` exactly, chunk stream by chunk
+    stream, within bounded allocation peaks.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import inspect
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -43,9 +47,22 @@ from linkage_betti import (
 )
 from linkage_betti import averages, cli
 from linkage_betti.averages import EXACT_MAX_BARS, MC_SETUP_BUDGET_BYTES
+from linkage_betti.sampling import (
+    CHUNK_SIZE,
+    MonteCarloEstimate,
+    _chunks,
+    chunk_rng,
+    sample_unit_cube,
+    sample_unit_simplex,
+)
 from linkage_betti.slicing import _cached_ratio
 
-from oracles import enumerated_class_sums, subset_volume_term, three_value_class_sum
+from oracles import (
+    blockwise_mc_counts,
+    enumerated_class_sums,
+    subset_volume_term,
+    three_value_class_sum,
+)
 
 PIN_7_1_SIMPLEX = Fraction(131441, 27648)
 PIN_10_0_CUBE = Fraction(10369, 10368)
@@ -291,6 +308,80 @@ def test_mc_single_sample_is_integer_valued():
 def test_mc_deterministic_across_workers():
     baseline = average_betti_mc(6, 1, Measure.SIMPLEX, 70000, 5, workers=1)
     assert average_betti_mc(6, 1, Measure.SIMPLEX, 70000, 5, workers=3) == baseline
+
+
+# (n, p, measure, samples, seed) -> (estimate, stderr), recorded from the
+# blockwise kernel that the tiled one replaced
+MC_PINS = [
+    ((5, 0, Measure.SIMPLEX, 200_000, 7), (0.84277, 0.0014915779428255828)),
+    ((12, 4, Measure.SIMPLEX, 40_000, 2024), (215.9573, 0.48417248088107095)),
+    ((14, 3, Measure.CUBE, 40_000, 2025), (293.558425, 0.04623024544466705)),
+    ((7, 0, Measure.CUBE, 33_001, 11), (1.019726674949244, 0.000835471032370008)),
+    ((9, 3, Measure.SIMPLEX, 33_001, 12), (30.54701372685676, 0.09714267666706179)),
+    ((3, 0, Measure.CUBE, 5, 1), (0.4, 0.4)),
+    ((8, 2, Measure.CUBE, 70_001, 13), (24.6312766960472, 0.01913872152798045)),
+]
+
+
+def test_mc_regression_pins():
+    # the README example, the benchmark's two sizes, p = 0 (a zero pick
+    # column), n = 2p + 3 (one family twice; n = 3 is both) and budgets that
+    # are multiples of neither CHUNK_SIZE nor the tile rows
+    for args, (estimate, stderr) in MC_PINS:
+        n, p, measure, samples, seed = args
+        assert average_betti_mc(*args) == MonteCarloEstimate(
+            estimate=estimate, stderr=stderr, samples=samples, seed=seed
+        )
+
+
+@pytest.mark.parametrize(
+    "n, p, measure, samples",
+    [
+        (12, 4, Measure.SIMPLEX, CHUNK_SIZE + 1001),
+        (14, 3, Measure.CUBE, 3000),
+        (7, 0, Measure.CUBE, 3000),
+        (9, 3, Measure.SIMPLEX, 3000),
+        (21, 9, Measure.SIMPLEX, 5),
+    ],
+)
+def test_mc_matches_the_blockwise_oracle(n, p, measure, samples):
+    seed = 17
+    sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
+    total = total_sq = 0
+    for index, count in _chunks(samples):
+        counts = blockwise_mc_counts(sampler, n, p, chunk_rng(seed, index), count)
+        total += int(counts.sum())
+        total_sq += int(counts @ counts)
+    variance = max(total_sq - total * total / samples, 0.0) / (samples - 1)
+    expected = MonteCarloEstimate(
+        estimate=total / samples,
+        stderr=math.sqrt(variance / samples),
+        samples=samples,
+        seed=seed,
+    )
+    assert average_betti_mc(n, p, measure, samples, seed) == expected
+    if n == 21:
+        # one subset-sum row fills a tile, so each tile is a single sample
+        columns = math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
+        assert averages._TILE_BYTES // (8 * columns) == 0
+
+
+def _allocation_peak(*args) -> int:
+    average_betti_mc(6, 1, Measure.SIMPLEX, 10, 0)  # numpy imported and warm
+    tracemalloc.start()
+    try:
+        average_betti_mc(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_allocation_peaks():
+    # one whole chunk of the benchmark's simplex case; the blockwise kernel
+    # peaked at 99.7 MiB, three chunk-sized float64 arrays per block
+    assert _allocation_peak(12, 4, Measure.SIMPLEX, CHUNK_SIZE, 0) < 32 * 2**20
+    # set-up dominated: the blockwise kernel peaked at 35.36 MiB here
+    assert _allocation_peak(20, 8, Measure.SIMPLEX, 64, 0) <= 35.36 * 2**20
 
 
 def test_class_term_weak_monotonicity():

@@ -5,7 +5,8 @@ Core claims exercised here:
   * the CSV schema is stable, JSON round-trips to the same CSV bytes, and
     decimal columns agree with the rational columns to 12 significant digits;
   * exit codes separate malformed input (2) from domain violations (3);
-  * sampling runs are byte-identical for identical arguments;
+  * sampling runs are byte-identical for identical arguments, also across
+    OpenBLAS thread counts in fresh interpreters;
   * --threads and the environment fallback are honored.
 """
 
@@ -14,8 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +196,26 @@ def test_sample_reruns_are_byte_identical(capsys):
     code2, out2 = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_sample_is_byte_identical_across_blas_threads():
+    # n = 19, p = 7 has one-row tiles, whose products OpenBLAS splits over
+    # two threads when it may
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs[blas_threads] = [
+            subprocess.run(
+                [sys.executable, "-m", "linkage_betti", "sample", "--n", n, "--p", p,
+                 "--measure", "simplex", "--samples", samples, "--seed", "4",
+                 "--threads", "1"],
+                capture_output=True, text=True, env=env, timeout=60, check=True,
+            ).stdout
+            for n, p, samples in (("12", "4", "3000"), ("19", "7", "100"))
+        ]
+    assert outputs["1"] == outputs["2"]
 
 
 def test_sample_single_sample_reports_zero_stderr(capsys):
