@@ -45,11 +45,14 @@ of J and B the n - k non-members.
 
 The exact path is rational arithmetic end to end and starts no threads; its
 cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path
-samples length vectors, evaluates the per-instance count on each, and is the
-independent cross-check of choice for the exact values, counted in L2-sized
-row tiles of a 0/1 pick matrix product.  Only that path uses numpy, so
-``_pick_matrix`` and ``average_betti_mc`` import it when they run; the exact
-path and the CLI commands built on it never load numpy.
+samples length vectors and counts each one's short subsets in L2-sized row
+tiles of a 0/1 pick matrix product: J is short when fl(a + s) < h, a the
+anchor, s the float sum of J's other members, h half the total.  Rounding to
+nearest is monotone, so for floats s >= 0 that holds exactly when s < t, the
+least float t >= 0 with fl(a + t) >= h; that one cut per sample (not
+fl(h - a), wrong at near-ties) gives the same count bit for bit.  Only that
+path uses numpy, so ``_pick_matrix`` and ``average_betti_mc`` import it when
+they run; the exact path and the CLI commands built on it never load numpy.
 """
 
 from __future__ import annotations
@@ -266,7 +269,7 @@ def convergence_table(
 MC_SETUP_BUDGET_BYTES = 2**26
 
 # Bytes of float64 sums in one row tile, sized so that they stay in L2.
-_TILE_BYTES = 2**18
+_TILE_BYTES = 2**19
 
 
 def _pick_matrix(n: int, p: int) -> np.ndarray:
@@ -294,6 +297,25 @@ def _pick_matrix(n: int, p: int) -> np.ndarray:
     return picks
 
 
+def _exact_cut(anchor: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Per element, the least float t >= 0 with fl(anchor + t) >= half."""
+    import numpy as np
+
+    def reaches(bits: np.ndarray) -> np.ndarray:
+        return anchor + bits.view(np.float64) >= half  # negative bits are NaN
+
+    # bisect on bits within 2 floats of where sums round up to half, else 0..half
+    guess = (half - anchor) - (half - np.nextafter(half, 0.0)) * 0.5
+    start = np.maximum(guess, 0.0).view(np.int64)
+    lo = np.where(reaches(start - 2), -1, start - 2)
+    hi = np.where(reaches(start + 2), start + 2, half.view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        up = reaches(mid)
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return hi.view(np.float64)
+
+
 def average_betti_mc(
     n: int,
     p: int,
@@ -306,9 +328,10 @@ def average_betti_mc(
 
     Each sample is sorted decreasingly; the largest bar is the anchor and the
     per-instance count reduces to short subsets through it at the two
-    contributing cardinalities, one ``_pick_matrix`` column each, counted in
-    row tiles of ``_TILE_BYTES`` of sums.  Ties and medians are
-    probability-zero events in floating point and are ignored.  Chunk
+    contributing cardinalities, one ``_pick_matrix`` column each, counted
+    against the sample's cut in row tiles of ``_TILE_BYTES`` of sums, per row
+    in uint32 (``MC_SETUP_BUDGET_BYTES`` keeps S <= 2^22).  Ties and medians
+    are probability-zero events in floating point and are ignored.  Chunk
     accumulators are exact integer sums, so the estimate depends only on
     (seed, samples).  Refused with DomainError, before any set-up, for a bad
     sample, seed or worker count, and when the pick matrix would exceed
@@ -325,14 +348,19 @@ def average_betti_mc(
     def worker(rng: np.random.Generator, count: int) -> tuple[int, int]:
         points = sampler(rng, count, n)
         points = -np.sort(-points, axis=1)
-        anchor, rest = points[:, :1], points[:, 1:]
-        half = points.sum(axis=1, keepdims=True) * 0.5
+        half = points.sum(axis=1) * 0.5
+        # 4,096 rows at a time: small work arrays stay in cache, off the peak RSS
+        cut = np.concatenate([_exact_cut(points[i:i + 4096, 0], half[i:i + 4096])
+                              for i in range(0, count, 4096)])[:, None]
+        sums = np.empty((min(tile, count), picks.shape[1]))
+        short = np.empty(sums.shape, dtype=bool)
         per_sample = np.empty(count, dtype=np.int64)
         for start in range(0, count, tile):
-            rows = slice(start, start + tile)
-            sums = rest[rows] @ picks
-            np.add(anchor[rows], sums, out=sums)
-            per_sample[rows] = np.count_nonzero(sums < half[rows], axis=1)
+            m = min(tile, count - start)
+            rows = slice(start, start + m)
+            np.matmul(points[rows, 1:], picks, out=sums[:m])
+            np.less(sums[:m], cut[rows], out=short[:m])
+            per_sample[rows] = np.add.reduce(short[:m].view(np.uint8), axis=1, dtype=np.uint32)
         return int(per_sample.sum()), int(np.dot(per_sample, per_sample))
 
     parts = map_chunks(worker, samples, seed, workers)

@@ -354,6 +354,8 @@ def _cmd_convergence(args: argparse.Namespace, threads: int) -> OutputRecord:
 
 
 def _cmd_sample(args: argparse.Namespace, threads: int) -> OutputRecord:
+    # read when numpy loads; OpenBLAS's threads would only spin beside --threads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     estimate = average_betti_mc(
         args.n,
         args.p,

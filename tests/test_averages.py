@@ -32,8 +32,9 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linkage_betti import (
@@ -320,13 +321,19 @@ MC_PINS = [
     ((9, 3, Measure.SIMPLEX, 33_001, 12), (30.54701372685676, 0.09714267666706179)),
     ((3, 0, Measure.CUBE, 5, 1), (0.4, 0.4)),
     ((8, 2, Measure.CUBE, 70_001, 13), (24.6312766960472, 0.01913872152798045)),
+    # recorded before the count compared against the exact cut
+    ((19, 7, Measure.SIMPLEX, 400, 3), (22863.3025, 345.91106893102864)),
+    ((21, 9, Measure.SIMPLEX, 8, 2), (88065.5, 10528.13281335842)),
+    ((4, 0, Measure.CUBE, 5000, 9), (1.3296, 0.010600718987342779)),
 ]
 
 
 def test_mc_regression_pins():
     # the README example, the benchmark's two sizes, p = 0 (a zero pick
     # column), n = 2p + 3 (one family twice; n = 3 is both) and budgets that
-    # are multiples of neither CHUNK_SIZE nor the tile rows
+    # are multiples of neither CHUNK_SIZE nor the tile rows; then one-row
+    # tiles (n = 19), a mean count above 2^16 (n = 21) and 852 of 5,000 rows
+    # whose anchor reaches half the total, so their cut is 0 (n = 4)
     for args, (estimate, stderr) in MC_PINS:
         n, p, measure, samples, seed = args
         assert average_betti_mc(*args) == MonteCarloEstimate(
@@ -364,6 +371,45 @@ def test_mc_matches_the_blockwise_oracle(n, p, measure, samples):
         # one subset-sum row fills a tile, so each tile is a single sample
         columns = math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
         assert averages._TILE_BYTES // (8 * columns) == 0
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _cut_case(draw):
+    """(anchor, half, x): anchor >= 0, half > 0, x >= 0 drawn near the cut."""
+    anchor = draw(st.floats(0, 1e300, **_FINITE))
+    kind = draw(st.sampled_from(["any", "ulps above", "far above", "at most"]))
+    if kind == "any":
+        half = draw(st.floats(0, 1e300, **_FINITE))
+    elif kind == "ulps above":
+        half = anchor
+        for _ in range(draw(st.integers(1, 8))):
+            half = math.nextafter(half, math.inf)
+    elif kind == "far above":  # anchor much larger than half - anchor
+        half = anchor * (1 + draw(st.floats(2**-52, 2**-20)))
+    else:
+        half = draw(st.floats(0, anchor, **_FINITE))
+    assume(half > 0)
+    return anchor, half, draw(st.sampled_from(["cut", "prev", "next", "zero", "any"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=st.lists(_cut_case(), min_size=1, max_size=20), data=st.data())
+def test_exact_cut_splits_the_sums_like_the_rounded_sum(cases, data):
+    anchor = np.array([a for a, _, _ in cases])
+    half = np.array([h for _, h, _ in cases])
+    for (a, h, which), t in zip(cases, averages._exact_cut(anchor, half)):
+        assert t >= 0 and (t == 0) == (a >= h)
+        x = {
+            "cut": t,
+            "prev": np.nextafter(t, 0.0),
+            "next": np.nextafter(t, np.inf),
+            "zero": np.float64(0.0),
+            "any": np.float64(data.draw(st.floats(0, h, **_FINITE))),
+        }[which]
+        assert (a + x < h) == (x < t)
 
 
 def _allocation_peak(*args) -> int:

@@ -30,6 +30,15 @@ from linkage_betti.linkages import MAX_BARS
 from linkage_betti.simplexes import Measure
 
 
+@pytest.fixture(autouse=True)
+def _blas_threads_left_as_found(monkeypatch):
+    # an in-process ``sample`` sets OPENBLAS_NUM_THREADS when it is unset;
+    # setenv records that absence, so teardown removes the value again
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
