@@ -13,70 +13,62 @@ The library has three layers:
   tail for iid uniform lengths on the cube) and cross-checks them by seeded
   Monte Carlo (:mod:`linkage_betti.sampling`).
 
+Every name in ``__all__`` is importable from the package, but the module that
+defines it loads on first access (PEP 562), so ``import linkage_betti`` and
+each CLI command load only the modules they use.
+
 The ``linkage-betti`` console script exposes all of it; see the README.
 """
 
-from .averages import (
-    AverageReport,
-    ConvergenceRow,
-    average_betti_exact,
-    average_betti_mc,
-    convergence_table,
-    subset_classes,
-)
-from .errors import DomainError
-from .linkages import (
-    BettiProfile,
-    IndexSubset,
-    LengthVector,
-    betti,
-    betti_profile,
-    count_median,
-    count_short,
-    equilateral_reference,
-    is_generic,
-    max_length_index,
-)
-from .sampling import MonteCarloEstimate, mc_slice_ratio
-from .simplexes import (
-    DensitySequence,
-    Measure,
-    VertexValues,
-    density_sequence,
-    functional_values,
-)
-from .slicing import GroupedValues, group_values, slice_cdf, slice_ratio
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DomainError",
-    "LengthVector",
-    "IndexSubset",
-    "BettiProfile",
-    "max_length_index",
-    "is_generic",
-    "count_short",
-    "count_median",
-    "betti",
-    "betti_profile",
-    "equilateral_reference",
-    "Measure",
-    "DensitySequence",
-    "VertexValues",
-    "density_sequence",
-    "functional_values",
-    "GroupedValues",
-    "group_values",
-    "slice_cdf",
-    "slice_ratio",
-    "MonteCarloEstimate",
-    "mc_slice_ratio",
-    "AverageReport",
-    "ConvergenceRow",
-    "subset_classes",
-    "average_betti_exact",
-    "average_betti_mc",
-    "convergence_table",
-]
+_EXPORTS = {
+    "errors": ("DomainError",),
+    "linkages": (
+        "LengthVector",
+        "IndexSubset",
+        "BettiProfile",
+        "max_length_index",
+        "is_generic",
+        "count_short",
+        "count_median",
+        "betti",
+        "betti_profile",
+        "equilateral_reference",
+    ),
+    "simplexes": (
+        "Measure",
+        "DensitySequence",
+        "VertexValues",
+        "density_sequence",
+        "functional_values",
+    ),
+    "slicing": ("GroupedValues", "group_values", "slice_cdf", "slice_ratio"),
+    "sampling": ("MonteCarloEstimate", "mc_slice_ratio"),
+    "averages": (
+        "AverageReport",
+        "ConvergenceRow",
+        "subset_classes",
+        "average_betti_exact",
+        "average_betti_mc",
+        "convergence_table",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -50,9 +50,13 @@ tiles of a 0/1 pick matrix product: J is short when fl(a + s) < h, a the
 anchor, s the float sum of J's other members, h half the total.  Rounding to
 nearest is monotone, so for floats s >= 0 that holds exactly when s < t, the
 least float t >= 0 with fl(a + t) >= h; that one cut per sample (not
-fl(h - a), wrong at near-ties) gives the same count bit for bit.  Only that
-path uses numpy, so ``_pick_matrix`` and ``average_betti_mc`` import it when
-they run; the exact path and the CLI commands built on it never load numpy.
+fl(h - a), wrong at near-ties) decides every sum the product returns as
+fl(a + s) < h would.  Those sums follow OpenBLAS's grouping for each tile
+shape: a one-row tile is a matrix-vector product, and tiles of other row
+counts round some sums differently, so the regression pins, not this
+argument, guard a change of ``_TILE_BYTES``.  Only that path uses numpy,
+so ``_pick_matrix`` and ``average_betti_mc`` import it when they run; the
+exact path and the CLI commands built on it never load numpy.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError
-from .linkages import IndexSubset
 from .sampling import (
     MonteCarloEstimate,
     _check_budget,
@@ -76,6 +79,8 @@ from .simplexes import Measure
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .linkages import IndexSubset
 
 __all__ = [
     "EXACT_MAX_BARS",
@@ -113,6 +118,8 @@ def subset_classes(n: int, p: int) -> tuple[Iterator[IndexSubset], Iterator[Inde
     At n = 2p + 3 the cardinalities coincide and both iterators yield the
     same family; callers sum both anyway, which is the intended doubling.
     """
+    from .linkages import IndexSubset
+
     _check_degree(n, p)
 
     def anchored(cardinality: int) -> Iterator[IndexSubset]:

@@ -10,51 +10,81 @@ Subcommands:
 
 Every command takes ``--format table|csv|json``.  Rational results are exact
 "a/b" strings and stay authoritative; decimal columns are 12-significant-digit
-conveniences.  Exit codes: 0 success, 2 malformed input, 3 domain violations
-(valid input outside an operation's mathematical range).
+conveniences.  Exit codes: 0 success, 2 malformed input (including a number
+with more digits than Python prints), 3 domain violations (valid input
+outside an operation's mathematical range, or a result too long to print).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
-from fractions import Fraction
-from typing import Callable, Sequence
 
 from . import __version__
-from .averages import average_betti_exact, average_betti_mc, convergence_table
 from .errors import DomainError
-from .linkages import LengthVector, betti_profile
-from .simplexes import Measure
-from .slicing import slice_ratio
 
 __all__ = ["main"]
 
 DECIMAL_DIGITS = 12
+
+# The engine functions the handlers call.  Each is imported from the package
+# on first use and then bound here, so that a command loads only its own
+# engine and a caller that rebinds one on this module is obeyed.
+_ENGINES = ("betti_profile", "average_betti_exact", "convergence_table",
+            "average_betti_mc", "slice_ratio")
+
+
+def __getattr__(name: str):
+    if name not in _ENGINES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+def _engine(name: str):
+    """The engine function bound to ``name`` on this module."""
+    return getattr(sys.modules[__name__], name)
 
 
 class UsageError(Exception):
     """Malformed input detected after argparse (mirrors its exit code 2)."""
 
 
-@dataclass
 class OutputRecord:
     """One command's tabular result, renderable as table, CSV, or JSON."""
 
-    command: str
-    columns: tuple[str, ...]
-    rows: list[dict[str, str | int]] = field(default_factory=list)
-    seed: int | None = None
+    def __init__(
+        self,
+        command: str,
+        columns: tuple[str, ...],
+        rows: list[dict[str, str | int]] | None = None,
+        seed: int | None = None,
+    ) -> None:
+        self.command = command
+        self.columns = columns
+        self.rows = [] if rows is None else rows
+        self.seed = seed
+
+
+def _digit_limit() -> int:
+    """Most digits ``str`` gives an integer (Python's default where no limit is set)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _rational_str(x: Fraction) -> str:
+    """``str(x)``, or DomainError when Python refuses to print that many digits."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(f"result has more than {_digit_limit()} digits to print") from None
 
 
 def decimal_str(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     """Decimal rendering of a rational, correctly rounded to 12 significant digits."""
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = digits
         value = Decimal(x.numerator) / Decimal(x.denominator)
@@ -83,6 +113,9 @@ def _render_table(record: OutputRecord) -> str:
 
 
 def _render_csv(record: OutputRecord) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(record.columns)
@@ -92,6 +125,8 @@ def _render_csv(record: OutputRecord) -> str:
 
 
 def _render_json(record: OutputRecord) -> str:
+    import json
+
     meta: dict[str, str | int] = {"command": record.command, "version": __version__}
     if record.seed is not None:
         meta["seed"] = record.seed
@@ -112,7 +147,33 @@ def render(record: OutputRecord, fmt: str) -> str:
 # argument parsing
 
 
+def _literal_digits(text: str) -> int:
+    """Most digits the numerator or denominator of ``Fraction(text)`` has before reduction.
+
+    Read from the literal's digits and exponent alone: ``Fraction("1e10000000")``
+    takes seconds to build a number that could never be printed.  Text that
+    is not a literal may read anything; ``Fraction`` refuses it afterwards.
+    """
+    body = text.replace("_", "").strip().lstrip("+-")
+    if "/" in body:
+        return max(len(part.strip().lstrip("0")) for part in body.split("/"))
+    mantissa, _, exponent = body.lower().partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    try:
+        shift = int(exponent or "0") - len(decimals)
+    except ValueError:  # not an integer, or one that is itself too long
+        return len(exponent)
+    significant = len((whole + decimals).lstrip("0"))
+    return max(significant, significant + shift, 1 - shift)
+
+
 def _rational(text: str) -> Fraction:
+    from fractions import Fraction
+
+    if _literal_digits(text) > _digit_limit():
+        raise argparse.ArgumentTypeError(
+            f"numerator or denominator past {_digit_limit()} digits: {text!r}"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -133,7 +194,7 @@ def _vertex_value_list(text: str) -> list[Fraction]:
     return values
 
 
-def _merge_list_option_values(argv: Sequence[str]) -> list[str]:
+def _merge_list_option_values(argv: list[str]) -> list[str]:
     """Join ``--q -1,1,2`` into ``--q=-1,1,2`` so leading minus signs parse.
 
     argparse treats a separate token starting with ``-`` as an option, which
@@ -271,8 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_betti(args: argparse.Namespace, threads: int) -> OutputRecord:
-    ell = LengthVector(tuple(args.lengths))
-    profile = betti_profile(ell)
+    from .linkages import LengthVector
+
+    profile = _engine("betti_profile")(LengthVector(tuple(args.lengths)))
     generic = "false" if any(profile.median_counts) else "true"
     record = OutputRecord(
         command="betti",
@@ -296,20 +358,25 @@ def _average_row(report) -> dict[str, str | int]:
         "n": report.n,
         "p": report.p,
         "measure": str(report.measure),
-        "exact_rational": str(report.exact),
+        "exact_rational": _rational_str(report.exact),
         "exact_decimal": decimal_str(report.exact),
         "binomial": report.binomial,
-        "gap_rational": str(report.gap),
+        "gap_rational": _rational_str(report.gap),
         "gap_decimal": decimal_str(report.gap),
     }
 
 
 def _cmd_average(args: argparse.Namespace, threads: int) -> OutputRecord:
-    row = _average_row(average_betti_exact(args.n, args.p, Measure(args.measure)))
+    from .simplexes import Measure
+
+    report = _engine("average_betti_exact")(args.n, args.p, Measure(args.measure))
+    row = _average_row(report)
     return OutputRecord(command="average", columns=tuple(row), rows=[row])
 
 
 def _cmd_convergence(args: argparse.Namespace, threads: int) -> OutputRecord:
+    from .simplexes import Measure
+
     record = OutputRecord(
         command="convergence",
         columns=(
@@ -330,6 +397,7 @@ def _cmd_convergence(args: argparse.Namespace, threads: int) -> OutputRecord:
         if args.measure == "both"
         else (Measure(args.measure),)
     )
+    convergence_table = _engine("convergence_table")
     tables = {
         m: convergence_table(args.p, args.n_min, args.n_max, m)
         for m in measures
@@ -343,7 +411,7 @@ def _cmd_convergence(args: argparse.Namespace, threads: int) -> OutputRecord:
                     "n": report.n,
                     "measure": str(m),
                     "p": report.p,
-                    "exact_rational": str(report.exact),
+                    "exact_rational": _rational_str(report.exact),
                     "exact_decimal": decimal_str(report.exact),
                     "binomial": report.binomial,
                     "gap_decimal": decimal_str(report.gap),
@@ -356,7 +424,9 @@ def _cmd_convergence(args: argparse.Namespace, threads: int) -> OutputRecord:
 def _cmd_sample(args: argparse.Namespace, threads: int) -> OutputRecord:
     # read when numpy loads; OpenBLAS's threads would only spin beside --threads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    estimate = average_betti_mc(
+    from .simplexes import Measure
+
+    estimate = _engine("average_betti_mc")(
         args.n,
         args.p,
         Measure(args.measure),
@@ -383,7 +453,7 @@ def _cmd_sample(args: argparse.Namespace, threads: int) -> OutputRecord:
 
 
 def _cmd_slice(args: argparse.Namespace, threads: int) -> OutputRecord:
-    ratio = slice_ratio(args.q)
+    ratio = _engine("slice_ratio")(args.q)
     return OutputRecord(
         command="slice",
         columns=("values", "count", "ratio_rational", "ratio_decimal"),
@@ -391,7 +461,7 @@ def _cmd_slice(args: argparse.Namespace, threads: int) -> OutputRecord:
             {
                 "values": ",".join(str(v) for v in args.q),
                 "count": len(args.q),
-                "ratio_rational": str(ratio),
+                "ratio_rational": _rational_str(ratio),
                 "ratio_decimal": decimal_str(ratio),
             }
         ],
@@ -402,18 +472,17 @@ def _cmd_slice(args: argparse.Namespace, threads: int) -> OutputRecord:
 # entry point
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(_merge_list_option_values(tokens))
-    handler: Callable[[argparse.Namespace, int], OutputRecord] = args.handler
     try:
         threads = _resolve_threads(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        record = handler(args, threads)
+        record = args.handler(args, threads)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,7 @@ threads process the chunks, and chunk accumulators are exact integers so the
 reduction order cannot perturb the estimate either.
 
 numpy and ``concurrent.futures`` are imported inside the functions that draw
-or pool, not at module top: importing numpy costs about 0.2 s of CPU and
+or pool, not at module top: importing numpy costs about 0.1 s of CPU and
 starts OpenBLAS threads, which every process that never samples would pay.
 """
 

@@ -27,10 +27,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError
-from .linkages import IndexSubset
+
+if TYPE_CHECKING:
+    from .linkages import IndexSubset
 
 __all__ = [
     "Measure",

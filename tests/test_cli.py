@@ -322,6 +322,16 @@ def test_exit_code_2_on_malformed_input(capsys):
         main(["average", "--n", "3", "--p", "0", "--measure", "gaussian"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+    # literals whose numerator or denominator Python would refuse to print,
+    # refused before Fraction spends seconds building 10**10000000
+    for argv in (["slice", "--q", "-1e5000,1"], ["slice", "--q", "1,1e-4300"],
+                 ["betti", "--lengths", "1e10000000,1,1"]):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+    capsys.readouterr()
 
 
 def test_exit_code_3_on_domain_violations(capsys):
@@ -343,6 +353,10 @@ def test_exit_code_3_on_domain_violations(capsys):
                  "--samples", "0"]) == 3
     assert main(["sample", "--n", "21", "--p", "9", "--measure", "simplex",
                  "--samples", "10", "--seed", "-1"]) == 3
+    # every input prints, but the ratio would have more digits than Python prints
+    start = time.perf_counter()
+    assert main(["slice", "--q", "-1e1500,3e1400,7,-11e1300,13"]) == 3
+    assert time.perf_counter() - start < 1.0
     capsys.readouterr()
 
 
@@ -358,6 +372,31 @@ def test_threads_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("LINKAGE_BETTI_THREADS", "zebra")
     assert main(list(args)) == 2
     capsys.readouterr()
+
+
+def test_engines_are_called_through_rebindable_module_names(capsys, monkeypatch):
+    # the benchmark's traced run rebinds these names to time library calls
+    from linkage_betti import averages, cli
+
+    calls = []
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("betti_profile", "average_betti_exact"):
+        recording(cli, name)
+    recording(averages, "map_chunks")
+    assert run_cli(capsys, "betti", "--lengths", "3,1,1,1,1", "--format", "csv")[0] == 0
+    assert run_cli(capsys, "average", "--n", "7", "--p", "1", "--measure", "cube")[0] == 0
+    assert run_cli(capsys, "sample", "--n", "5", "--p", "0", "--measure", "cube",
+                   "--samples", "100", "--threads", "1")[0] == 0
+    assert calls == ["betti_profile", "average_betti_exact", "map_chunks"]
 
 
 def test_version_flag(capsys):

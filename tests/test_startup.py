@@ -1,10 +1,13 @@
-"""Start-up cost: only the Monte Carlo path loads numpy.
+"""Start-up cost: each command loads only the modules it runs.
 
-Importing numpy costs about 0.1 s of CPU and starts OpenBLAS threads, so every
-command that never samples must leave it (and the thread pool module) unloaded.
-``sample`` runs OpenBLAS on one thread unless the caller chose a count.  Each
-check runs in a fresh interpreter, where ``sys.modules`` and
-``/proc/self/status`` show exactly what the package and one command started.
+Only the Monte Carlo path loads numpy: importing it costs about 0.1 s of CPU
+and starts OpenBLAS threads, so every command that never samples must leave
+it (and the thread pool module) unloaded.  ``sample`` runs OpenBLAS on one
+thread unless the caller chose a count.  ``import linkage_betti`` loads no
+submodule, and each command loads its own engine and the standard modules
+it renders with, not the others'.  Each check runs in a fresh interpreter,
+where ``sys.modules`` and ``/proc/self/status`` show exactly what the package
+and one command started.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 LAZY = ("numpy", "concurrent.futures")
+SUBMODULES = tuple(
+    f"linkage_betti.{path.stem}"
+    for path in sorted((SRC / "linkage_betti").glob("*.py"))
+    if path.stem != "__init__"
+)
 
 
 def _last_line(script: str, env: Mapping[str, str]) -> str:
@@ -38,12 +46,12 @@ def _last_line(script: str, env: Mapping[str, str]) -> str:
     return result.stdout.splitlines()[-1]
 
 
-def _loaded_after(body: str) -> set[str]:
-    """Names in ``LAZY`` that are in ``sys.modules`` after running ``body``."""
+def _loaded_after(body: str, names: tuple[str, ...] = LAZY) -> set[str]:
+    """Those of ``names`` that are in ``sys.modules`` after running ``body``."""
     script = textwrap.dedent(body) + textwrap.dedent(
         f"""
         import sys
-        print("loaded:" + ",".join(name for name in {LAZY!r} if name in sys.modules))
+        print("loaded:" + ",".join(name for name in {names!r} if name in sys.modules))
         """
     )
     last = _last_line(script, os.environ)
@@ -71,6 +79,65 @@ def test_exact_commands_load_neither_numpy_nor_a_thread_pool():
         """
     )
     assert loaded == set()
+
+
+def _command(*argv: str) -> str:
+    """Script that runs ``python -m linkage_betti *argv``, output and exit code discarded."""
+    return f"""
+        import contextlib, io, runpy, sys
+
+        sys.argv = ["linkage-betti", *{argv!r}]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            runpy.run_module("linkage_betti", run_name="__main__", alter_sys=True)
+        """
+
+
+def test_import_loads_no_submodule_until_a_public_name_is_used():
+    last = _last_line(
+        """
+        import sys
+        import linkage_betti
+
+        loaded = [name for name in sys.modules if name.startswith("linkage_betti.")]
+        listed = set(linkage_betti.__all__) <= set(dir(linkage_betti))
+        namespace = {}
+        exec("from linkage_betti import *", namespace)
+        resolved = all(
+            namespace[name] is getattr(linkage_betti, name) is not None
+            for name in linkage_betti.__all__
+        )
+        print(loaded, listed, resolved, hasattr(linkage_betti, "no_such_name"))
+        """,
+        os.environ,
+    )
+    assert last == "[] True True False"
+
+
+def test_version_loads_only_the_front_end():
+    rendering = ("dataclasses", "fractions", "decimal", "json", "csv")
+    loaded = _loaded_after(_command("--version"), SUBMODULES + rendering)
+    front_end = {"linkage_betti.cli", "linkage_betti.errors"}
+    assert front_end <= loaded <= front_end | {"linkage_betti.__main__"}
+
+
+def test_betti_loads_neither_the_expectation_engines_nor_json():
+    engines = ("linkage_betti.averages", "linkage_betti.sampling",
+               "linkage_betti.simplexes", "linkage_betti.slicing", "json")
+    body = _command("betti", "--lengths", "3,1,1,1,1", "--format", "csv")
+    assert _loaded_after(body, engines + ("linkage_betti.linkages",)) == {"linkage_betti.linkages"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("average", "--n", "7", "--p", "1", "--measure", "simplex", "--format", "json"),
+        ("convergence", "--p", "0", "--n-min", "3", "--n-max", "8", "--measure", "both"),
+    ],
+    ids=["average", "convergence"],
+)
+def test_expectations_load_neither_linkages_nor_slicing(argv):
+    watched = ("linkage_betti.linkages", "linkage_betti.slicing", "linkage_betti.averages")
+    assert _loaded_after(_command(*argv), watched) == {"linkage_betti.averages"}
 
 
 def test_sample_loads_numpy():
