@@ -59,6 +59,17 @@ def _loaded_after(body: str, names: tuple[str, ...] = LAZY) -> set[str]:
     return set(filter(None, last[len("loaded:"):].split(",")))
 
 
+def _command(*argv: str) -> str:
+    """Script that runs ``python -m linkage_betti *argv``, output and exit code discarded."""
+    return f"""
+        import contextlib, io, runpy, sys
+
+        sys.argv = ["linkage-betti", *{argv!r}]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            runpy.run_module("linkage_betti", run_name="__main__", alter_sys=True)
+        """
+
+
 def test_exact_commands_load_neither_numpy_nor_a_thread_pool():
     loaded = _loaded_after(
         """
@@ -79,17 +90,6 @@ def test_exact_commands_load_neither_numpy_nor_a_thread_pool():
         """
     )
     assert loaded == set()
-
-
-def _command(*argv: str) -> str:
-    """Script that runs ``python -m linkage_betti *argv``, output and exit code discarded."""
-    return f"""
-        import contextlib, io, runpy, sys
-
-        sys.argv = ["linkage-betti", *{argv!r}]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-            runpy.run_module("linkage_betti", run_name="__main__", alter_sys=True)
-        """
 
 
 def test_import_loads_no_submodule_until_a_public_name_is_used():
