@@ -13,9 +13,11 @@ The library has three layers:
   tail for iid uniform lengths on the cube) and cross-checks them by seeded
   Monte Carlo (:mod:`linkage_betti.sampling`).
 
-Every name in ``__all__`` is importable from the package, but the module that
-defines it loads on first access (PEP 562), so ``import linkage_betti`` and
-each CLI command load only the modules they use.
+``__all__`` holds the names a caller computes with.  Each is importable from
+the package, but the module that defines it loads on first access (PEP 562),
+so ``import linkage_betti`` and each CLI command load only the modules they
+use.  Helpers that only tests and the benchmark use are imported from their
+module, not from the package.
 
 The ``linkage-betti`` console script exposes all of it; see the README.
 """
@@ -24,31 +26,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("DomainError",),
-    "linkages": (
-        "LengthVector",
-        "IndexSubset",
-        "BettiProfile",
-        "max_length_index",
-        "is_generic",
-        "count_short",
-        "count_median",
-        "betti",
-        "betti_profile",
-        "equilateral_reference",
-    ),
-    "simplexes": (
-        "Measure",
-        "DensitySequence",
-        "VertexValues",
-        "density_sequence",
-        "functional_values",
-    ),
-    "slicing": ("GroupedValues", "group_values", "slice_cdf", "slice_ratio"),
-    "sampling": ("MonteCarloEstimate", "mc_slice_ratio"),
+    "linkages": ("LengthVector", "BettiProfile", "betti_profile", "betti", "is_generic"),
+    "simplexes": ("Measure",),
+    "slicing": ("slice_ratio", "slice_cdf"),
+    "sampling": ("MonteCarloEstimate",),
     "averages": (
         "AverageReport",
         "ConvergenceRow",
-        "subset_classes",
         "average_betti_exact",
         "average_betti_mc",
         "convergence_table",

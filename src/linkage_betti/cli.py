@@ -228,21 +228,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="worker threads for Monte Carlo sampling, used by sample only "
-        "(default: LINKAGE_BETTI_THREADS or all cores)",
+        "(default: all cores)",
     )
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
     value = args.threads
-    if value is None:
-        raw = os.environ.get("LINKAGE_BETTI_THREADS")
-        if raw is not None:
-            try:
-                value = int(raw)
-            except ValueError as exc:
-                raise UsageError(
-                    f"LINKAGE_BETTI_THREADS must be an integer, got {raw!r}"
-                ) from exc
     if value is None:
         value = os.cpu_count() or 1
     if value < 1:

@@ -17,10 +17,10 @@ the p-th Betti number of the moduli space is
 All a_k and m_k come from one meet-in-the-middle count (Horowitz-Sahni
 1974) over the n - 1 non-anchor bars, in O(2^(n/2)) memory and
 O(n 2^(n/2)) time: about 0.01 s at n = 23 and 7 s at n = 40 under
-CPython 3.11 on one Xeon vCPU.  ``betti``, ``count_short``,
-``count_median`` and ``betti_profile`` all read that count, and the vector
-is generic exactly when it finds no median subset.  Vectors with more than
-MAX_BARS bars are refused with DomainError before any work starts.
+CPython 3.11 on one Xeon vCPU.  ``betti`` and ``betti_profile`` read that
+count, and the vector is generic exactly when it finds no median subset.
+Vectors with more than MAX_BARS bars are refused with DomainError before any
+work starts.
 
 Everything in this module is exact: lengths are arbitrary-precision rationals
 and all comparisons clear denominators before comparing integers.
@@ -41,13 +41,9 @@ __all__ = [
     "LengthVector",
     "IndexSubset",
     "BettiProfile",
-    "max_length_index",
     "is_generic",
-    "count_short",
-    "count_median",
     "betti",
     "betti_profile",
-    "equilateral_reference",
     "MAX_BARS",
 ]
 
@@ -88,9 +84,6 @@ class LengthVector:
     def n(self) -> int:
         return len(self.lengths)
 
-    def total(self) -> Fraction:
-        return sum(self.lengths, Fraction(0))
-
     def scaled_integers(self) -> tuple[int, ...]:
         """The lengths rescaled by the denominator lcm, as plain integers.
 
@@ -99,12 +92,6 @@ class LengthVector:
         """
         common = math.lcm(*(l.denominator for l in self.lengths))
         return tuple(int(l * common) for l in self.lengths)
-
-    def scaled(self, factor: Fraction | int) -> "LengthVector":
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise DomainError("scaling factor must be positive")
-        return LengthVector(tuple(l * factor for l in self.lengths))
 
 
 @dataclass(frozen=True)
@@ -153,10 +140,6 @@ class BettiProfile:
     short_counts: tuple[int, ...]
     median_counts: tuple[int, ...]
 
-    def is_empty_space(self) -> bool:
-        """True when the moduli space has no points (anchor bar is long)."""
-        return all(v == 0 for v in self.values)
-
 
 def max_length_index(ell: LengthVector) -> int:
     """1-based index of a maximal length, smallest index on ties."""
@@ -196,33 +179,6 @@ def is_generic(ell: LengthVector) -> bool:
     for w in weights[half:]:
         hi_sums |= {s + w for s in hi_sums}
     return all(target - s not in lo_sums for s in hi_sums)
-
-
-def _check_anchored_args(ell: LengthVector, cardinality: int, anchor: int) -> None:
-    if not 0 <= cardinality <= ell.n:
-        raise DomainError(f"cardinality {cardinality} outside 0..{ell.n}")
-    if not 1 <= anchor <= ell.n:
-        raise DomainError(f"anchor {anchor} outside 1..{ell.n}")
-
-
-def count_short(ell: LengthVector, cardinality: int, anchor: int) -> int:
-    """Number of short subsets of the given size containing the anchor.
-
-    Each call counts the subsets of every size through the anchor; a caller
-    wanting several sizes or degrees should call ``betti_profile`` once.
-    """
-    _check_anchored_args(ell, cardinality, anchor)
-    return _anchored_class_counts(ell, anchor)[0][cardinality]
-
-
-def count_median(ell: LengthVector, cardinality: int, anchor: int) -> int:
-    """Number of median subsets of the given size containing the anchor.
-
-    Each call counts the subsets of every size through the anchor; a caller
-    wanting several sizes or degrees should call ``betti_profile`` once.
-    """
-    _check_anchored_args(ell, cardinality, anchor)
-    return _anchored_class_counts(ell, anchor)[1][cardinality]
 
 
 def _check_degree(n: int, p: int) -> None:
@@ -325,16 +281,3 @@ def betti_profile(ell: LengthVector) -> BettiProfile:
         short_counts=short_counts,
         median_counts=median_counts,
     )
-
-
-def equilateral_reference(n: int, p: int) -> int:
-    """Betti number of the equilateral n-gon space in low degree.
-
-    Valid for 2p < n - 3, where the value is the binomial coefficient
-    C(n-1, p); outside that range the equilateral value differs from the
-    binomial and this reference refuses to answer.
-    """
-    _check_degree(n, p)
-    if 2 * p >= n - 3:
-        raise DomainError(f"closed form needs 2p < n - 3; got p={p}, n={n}")
-    return math.comb(n - 1, p)

@@ -1,10 +1,11 @@
-"""Seeded Monte Carlo estimators used to cross-check the exact formulas.
+"""Seeded Monte Carlo sampling behind ``averages.average_betti_mc``.
 
-Every estimator splits its sample budget into fixed-size chunks and draws
-chunk k from a fresh generator seeded by (seed, k).  Results are therefore
-bit-identical for a given (seed, samples) pair no matter how many worker
-threads process the chunks, and chunk accumulators are exact integers so the
-reduction order cannot perturb the estimate either.
+A sample budget is split into fixed-size chunks, and chunk k is drawn from a
+fresh generator seeded by (seed, k).  Results are therefore bit-identical for
+a given (seed, samples) pair no matter how many worker threads process the
+chunks, and chunk accumulators are exact integers so the reduction order
+cannot perturb the estimate either.  Budgets above MC_MAX_SAMPLES are refused
+with DomainError before any work starts.
 
 numpy and ``concurrent.futures`` are imported inside the functions that draw
 or pool, not at module top: importing numpy costs about 0.1 s of CPU and
@@ -13,11 +14,9 @@ starts OpenBLAS threads, which every process that never samples would pay.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 from .errors import DomainError
 
@@ -29,10 +28,13 @@ __all__ = [
     "MonteCarloEstimate",
     "sample_unit_simplex",
     "sample_unit_cube",
-    "mc_slice_ratio",
 ]
 
 CHUNK_SIZE = 1 << 15
+# 32,768 chunks.  map_chunks lists every chunk up front (about 92 bytes each)
+# and, when it pools, builds every chunk's generator (about 1.3 KiB) before
+# the first result comes back.
+MC_MAX_SAMPLES = 2**30
 
 T = TypeVar("T")
 
@@ -50,6 +52,8 @@ class MonteCarloEstimate:
 def _check_budget(samples: int, seed: int, workers: int) -> None:
     if samples < 1:
         raise DomainError("need at least one sample")
+    if samples > MC_MAX_SAMPLES:
+        raise DomainError(f"{samples} samples exceed the limit of {MC_MAX_SAMPLES}")
     if seed < 0:
         raise DomainError("seed must be nonnegative")
     if workers < 1:
@@ -115,32 +119,3 @@ def sample_unit_simplex(rng: np.random.Generator, count: int, n: int) -> np.ndar
 def sample_unit_cube(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """``count`` iid-uniform points in the open unit cube in R^n."""
     return rng.random((count, n))
-
-
-def mc_slice_ratio(
-    values: Sequence[Fraction] | Sequence[float],
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> MonteCarloEstimate:
-    """Empirical negative-side volume fraction of a simplex cut.
-
-    Draws uniform barycentric weights over the n+1 vertices (a flat Dirichlet)
-    and counts samples whose interpolated functional value is negative.  The
-    reported standard error is the binomial one; it is 0 when the empirical
-    rate is 0 or 1, so compare against exact values with a floor in mind.
-    """
-    import numpy as np
-
-    vertex_values = np.array([float(v) for v in values], dtype=np.float64)
-    if vertex_values.size < 2:
-        raise DomainError("need an ambient simplex dimension of at least 1")
-
-    def worker(rng: np.random.Generator, count: int) -> int:
-        weights = sample_unit_simplex(rng, count, vertex_values.size)
-        return int(np.count_nonzero(weights @ vertex_values < 0.0))
-
-    hits = sum(map_chunks(worker, samples, seed, workers))
-    rate = hits / samples
-    stderr = math.sqrt(rate * (1.0 - rate) / samples)
-    return MonteCarloEstimate(estimate=rate, stderr=stderr, samples=samples, seed=seed)

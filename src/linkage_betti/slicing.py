@@ -49,7 +49,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .simplexes import VertexValues
 
 __all__ = [
     "GroupedValues",
@@ -89,15 +88,9 @@ class GroupedValues:
         )
 
 
-def _as_values(values: "VertexValues | Iterable[Fraction]") -> tuple[Fraction, ...]:
-    if isinstance(values, VertexValues):
-        return values.values
-    return tuple(Fraction(v) for v in values)
-
-
-def group_values(values: "VertexValues | Iterable[Fraction]") -> GroupedValues:
+def group_values(values: Iterable[Fraction]) -> GroupedValues:
     """Collect vertex values into decreasing distinct values with multiplicities."""
-    vals = _as_values(values)
+    vals = tuple(Fraction(v) for v in values)
     if not vals:
         raise DomainError("need at least one value")
     counts = Counter(vals)
@@ -161,7 +154,7 @@ def _cached_ratio(distinct: tuple[Fraction, ...], mults: tuple[int, ...]) -> Fra
     return _ratio(GroupedValues(distinct, mults))
 
 
-def slice_ratio(values: "VertexValues | GroupedValues | Iterable[Fraction]") -> Fraction:
+def slice_ratio(values: GroupedValues | Iterable[Fraction]) -> Fraction:
     """Negative-side volume fraction for arbitrary vertex values.
 
     Groups the values, then sums the residues on whichever side of the cut
@@ -172,7 +165,7 @@ def slice_ratio(values: "VertexValues | GroupedValues | Iterable[Fraction]") -> 
     return _cached_ratio(grouped.distinct, grouped.multiplicities)
 
 
-def slice_cdf(values: "VertexValues | Iterable[Fraction]", x: Fraction | int) -> Fraction:
+def slice_cdf(values: Iterable[Fraction], x: Fraction | int) -> Fraction:
     """Volume fraction where the functional is below x.
 
     As a function of x this is the piecewise-polynomial distribution function
@@ -181,4 +174,4 @@ def slice_cdf(values: "VertexValues | Iterable[Fraction]", x: Fraction | int) ->
     values rarely recur, so this bypasses the cache.
     """
     x = Fraction(x)
-    return _ratio(group_values([v - x for v in _as_values(values)]))
+    return _ratio(group_values([Fraction(v) - x for v in values]))

@@ -18,12 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from linkage_betti import (
-    IndexSubset,
-    Measure,
-    density_sequence,
-    functional_values,
-)
+from linkage_betti import Measure
+from linkage_betti.linkages import IndexSubset
+from linkage_betti.simplexes import density_sequence, functional_values
 
 
 def check_density_bounds(subset: IndexSubset) -> None:

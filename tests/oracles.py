@@ -14,8 +14,10 @@ weak-composition sum for repeated ones.  The Betti oracles re-derive subset
 counts by the most naive enumeration possible and by a Gray-code walk over
 every subset.  ``blockwise_mc_counts`` is the Monte Carlo count that the
 tiled kernel of ``average_betti_mc`` replaced: 128-subset blocks, each summed
-over a whole chunk at once.  The vertex helpers spell out the sorted-region
-picture that ``simplexes.functional_values`` condenses.
+over a whole chunk at once.  ``mc_slice_ratio`` estimates a slice ratio by
+sampling the simplex in the package's seeded chunks.  The vertex helpers
+spell out the sorted-region picture that ``simplexes.functional_values``
+condenses.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from linkage_betti import (
-    DomainError,
-    IndexSubset,
-    Measure,
-    functional_values,
-    slice_ratio,
-)
+from linkage_betti import DomainError, Measure, MonteCarloEstimate, slice_ratio
+from linkage_betti.linkages import IndexSubset
+from linkage_betti.sampling import map_chunks, sample_unit_simplex
+from linkage_betti.simplexes import functional_values
 
 Point = tuple[Fraction, Fraction]
 
@@ -256,6 +255,33 @@ def blockwise_mc_counts(
             sums = anchor[:, None] + rest @ block.T
             per_sample += (sums < half[:, None]).sum(axis=1)
     return per_sample
+
+
+def mc_slice_ratio(
+    values: Sequence[Fraction] | Sequence[float],
+    samples: int,
+    seed: int,
+    workers: int = 1,
+) -> MonteCarloEstimate:
+    """Empirical negative-side volume fraction of a simplex cut.
+
+    Draws uniform barycentric weights over the n+1 vertices (a flat Dirichlet)
+    and counts samples whose interpolated functional value is negative.  The
+    reported standard error is the binomial one; it is 0 when the empirical
+    rate is 0 or 1, so compare against exact values with a floor in mind.
+    """
+    vertex_values = np.array([float(v) for v in values], dtype=np.float64)
+    if vertex_values.size < 2:
+        raise DomainError("need an ambient simplex dimension of at least 1")
+
+    def worker(rng: np.random.Generator, count: int) -> int:
+        weights = sample_unit_simplex(rng, count, vertex_values.size)
+        return int(np.count_nonzero(weights @ vertex_values < 0.0))
+
+    hits = sum(map_chunks(worker, samples, seed, workers))
+    rate = hits / samples
+    stderr = math.sqrt(rate * (1.0 - rate) / samples)
+    return MonteCarloEstimate(estimate=rate, stderr=stderr, samples=samples, seed=seed)
 
 
 def distinct_slice_ratio(values: Sequence[Fraction]) -> Fraction:

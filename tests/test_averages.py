@@ -39,15 +39,14 @@ from hypothesis import strategies as st
 
 from linkage_betti import (
     DomainError,
-    IndexSubset,
     Measure,
     average_betti_exact,
     average_betti_mc,
     convergence_table,
-    subset_classes,
 )
 from linkage_betti import averages, cli
-from linkage_betti.averages import EXACT_MAX_BARS, MC_SETUP_BUDGET_BYTES
+from linkage_betti.averages import EXACT_MAX_BARS, MC_SETUP_BUDGET_BYTES, subset_classes
+from linkage_betti.linkages import IndexSubset
 from linkage_betti.sampling import (
     CHUNK_SIZE,
     MonteCarloEstimate,

@@ -7,7 +7,7 @@ Core claims exercised here:
   * exit codes separate malformed input (2) from domain violations (3);
   * sampling runs are byte-identical for identical arguments, also across
     OpenBLAS thread counts in fresh interpreters;
-  * --threads and the environment fallback are honored.
+  * --threads leaves exact output unchanged and refuses a count below 1.
 """
 
 from __future__ import annotations
@@ -353,6 +353,11 @@ def test_exit_code_3_on_domain_violations(capsys):
                  "--samples", "0"]) == 3
     assert main(["sample", "--n", "21", "--p", "9", "--measure", "simplex",
                  "--samples", "10", "--seed", "-1"]) == 3
+    # a budget whose chunk list alone would take gigabytes
+    start = time.perf_counter()
+    assert main(["sample", "--n", "5", "--p", "0", "--measure", "cube",
+                 "--samples", "1000000000000", "--threads", "2"]) == 3
+    assert time.perf_counter() - start < 1.0
     # every input prints, but the ratio would have more digits than Python prints
     start = time.perf_counter()
     assert main(["slice", "--q", "-1e1500,3e1400,7,-11e1300,13"]) == 3
@@ -360,17 +365,13 @@ def test_exit_code_3_on_domain_violations(capsys):
     capsys.readouterr()
 
 
-def test_threads_flag_and_env(capsys, monkeypatch):
+def test_threads_flag(capsys):
     args = ("average", "--n", "7", "--p", "1", "--measure", "simplex",
             "--format", "csv")
     _, baseline = run_cli(capsys, *args)
     _, threaded = run_cli(capsys, *args, "--threads", "3")
     assert baseline == threaded
-    monkeypatch.setenv("LINKAGE_BETTI_THREADS", "2")
-    _, via_env = run_cli(capsys, *args)
-    assert via_env == baseline
-    monkeypatch.setenv("LINKAGE_BETTI_THREADS", "zebra")
-    assert main(list(args)) == 2
+    assert main([*args, "--threads", "0"]) == 2
     capsys.readouterr()
 
 

@@ -17,13 +17,9 @@ from fractions import Fraction
 import pytest
 
 from lemma_checks import check_all
-from linkage_betti import (
-    DomainError,
-    IndexSubset,
-    Measure,
-    density_sequence,
-    functional_values,
-)
+from linkage_betti import DomainError, Measure
+from linkage_betti.linkages import IndexSubset
+from linkage_betti.simplexes import density_sequence, functional_values
 from oracles import (
     evaluate_on_vertices,
     prefix_average_vertices,

@@ -22,17 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_betti import (
-    DomainError,
+from linkage_betti import DomainError, Measure, slice_cdf, slice_ratio
+from linkage_betti.linkages import IndexSubset
+from linkage_betti.simplexes import functional_values
+from linkage_betti.slicing import (
     GroupedValues,
-    IndexSubset,
-    Measure,
-    functional_values,
+    _cached_ratio,
+    _negative_side_sum,
+    _residue,
     group_values,
-    slice_cdf,
-    slice_ratio,
 )
-from linkage_betti.slicing import _cached_ratio, _negative_side_sum, _residue
 from oracles import (
     confluent_factor,
     distinct_slice_ratio,

@@ -120,6 +120,13 @@ def test_version_loads_only_the_front_end():
     assert front_end <= loaded <= front_end | {"linkage_betti.__main__"}
 
 
+def test_slice_loads_only_its_engine():
+    engines = ("linkage_betti.slicing", "linkage_betti.simplexes", "linkage_betti.linkages",
+               "linkage_betti.averages", "linkage_betti.sampling")
+    body = _command("slice", "--q", "-1,1,3")
+    assert _loaded_after(body, engines) == {"linkage_betti.slicing"}
+
+
 def test_betti_loads_neither_the_expectation_engines_nor_json():
     engines = ("linkage_betti.averages", "linkage_betti.sampling",
                "linkage_betti.simplexes", "linkage_betti.slicing", "json")
