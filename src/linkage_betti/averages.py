@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, check_degree
 from .sampling import (
     MonteCarloEstimate,
     _check_budget,
@@ -104,13 +104,6 @@ __all__ = [
 EXACT_MAX_BARS = {Measure.SIMPLEX: 100, Measure.CUBE: 900}
 
 
-def _check_degree(n: int, p: int) -> None:
-    if n < 3:
-        raise DomainError("expected Betti numbers need at least 3 bars")
-    if not 0 <= p <= n - 3:
-        raise DomainError(f"degree {p} outside 0..{n - 3}")
-
-
 def subset_classes(n: int, p: int) -> tuple[Iterator[IndexSubset], Iterator[IndexSubset]]:
     """The two families of contributing subsets, each containing index 1.
 
@@ -120,7 +113,7 @@ def subset_classes(n: int, p: int) -> tuple[Iterator[IndexSubset], Iterator[Inde
     """
     from .linkages import IndexSubset
 
-    _check_degree(n, p)
+    check_degree(n, p)
 
     def anchored(cardinality: int) -> Iterator[IndexSubset]:
         for extra in itertools.combinations(range(2, n + 1), cardinality - 1):
@@ -215,7 +208,7 @@ def average_betti_exact(
     Refused with DomainError above ``EXACT_MAX_BARS[measure]`` bars.
     ``workers`` is accepted and ignored; the exact path starts no threads.
     """
-    _check_degree(n, p)
+    check_degree(n, p)
     _check_exact_size(n, measure)
     anchored_short = (
         _anchored_short_simplex if measure is Measure.SIMPLEX else _anchored_short_cube
@@ -251,8 +244,11 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Expected values against the binomial reference for n = n_min..n_max.
 
-    ``n_max`` is checked against ``EXACT_MAX_BARS`` before the first row.
+    The degree, ``n_min`` and ``n_max`` (against ``EXACT_MAX_BARS``) are
+    checked before the first row, so an empty range is checked too.
     """
+    if p < 0:
+        raise DomainError(f"degree {p} is negative")
     if n_min < p + 3:
         raise DomainError(f"need n_min >= {p + 3} so degree {p} exists")
     _check_exact_size(n_max, measure)
@@ -345,7 +341,7 @@ def average_betti_mc(
     ``MC_SETUP_BUDGET_BYTES``.
     """
     _check_budget(samples, seed, workers)
-    _check_degree(n, p)
+    check_degree(n, p)
     picks = _pick_matrix(n, p)
     import numpy as np
 

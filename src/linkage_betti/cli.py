@@ -11,8 +11,9 @@ Subcommands:
 Every command takes ``--format table|csv|json``.  Rational results are exact
 "a/b" strings and stay authoritative; decimal columns are 12-significant-digit
 conveniences.  Exit codes: 0 success, 2 malformed input (including a number
-with more digits than Python prints), 3 domain violations (valid input
-outside an operation's mathematical range, or a result too long to print).
+with more digits than Python prints, and a ``--threads`` count below 1), both
+reported by argparse, 3 domain violations (valid input outside an
+operation's mathematical range, or a result too long to print).
 """
 
 from __future__ import annotations
@@ -48,26 +49,6 @@ def _engine(name: str):
     return getattr(sys.modules[__name__], name)
 
 
-class UsageError(Exception):
-    """Malformed input detected after argparse (mirrors its exit code 2)."""
-
-
-class OutputRecord:
-    """One command's tabular result, renderable as table, CSV, or JSON."""
-
-    def __init__(
-        self,
-        command: str,
-        columns: tuple[str, ...],
-        rows: list[dict[str, str | int]] | None = None,
-        seed: int | None = None,
-    ) -> None:
-        self.command = command
-        self.columns = columns
-        self.rows = [] if rows is None else rows
-        self.seed = seed
-
-
 def _digit_limit() -> int:
     """Most digits ``str`` gives an integer (Python's default where no limit is set)."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
@@ -81,66 +62,57 @@ def _rational_str(x: Fraction) -> str:
         raise DomainError(f"result has more than {_digit_limit()} digits to print") from None
 
 
-def decimal_str(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
+def decimal_str(x: Fraction) -> str:
     """Decimal rendering of a rational, correctly rounded to 12 significant digits."""
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         value = Decimal(x.numerator) / Decimal(x.denominator)
     return str(value).lower()
 
 
-def float_str(x: float, digits: int = DECIMAL_DIGITS) -> str:
-    return format(x, f".{digits}g")
+def float_str(x: float) -> str:
+    return format(x, f".{DECIMAL_DIGITS}g")
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering: each renderer prints the given columns of every row; only json
+# prints ``meta``
 
 
-def _render_table(record: OutputRecord) -> str:
-    headers = list(record.columns)
-    cells = [[str(row[c]) for c in headers] for row in record.rows]
+def _render_table(columns: tuple[str, ...], rows: list[dict], meta: dict) -> str:
+    cells = [[str(row[c]) for c in columns] for row in rows]
     widths = [
         max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
+        for i, h in enumerate(columns)
     ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(columns, widths)).rstrip()]
     for r in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return "\n".join(lines)
 
 
-def _render_csv(record: OutputRecord) -> str:
+def _render_csv(columns: tuple[str, ...], rows: list[dict], meta: dict) -> str:
     import csv
     import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(record.columns)
-    for row in record.rows:
-        writer.writerow([row[c] for c in record.columns])
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([row[c] for c in columns])
     return buffer.getvalue().rstrip("\n")
 
 
-def _render_json(record: OutputRecord) -> str:
+def _render_json(columns: tuple[str, ...], rows: list[dict], meta: dict) -> str:
     import json
 
-    meta: dict[str, str | int] = {"command": record.command, "version": __version__}
-    if record.seed is not None:
-        meta["seed"] = record.seed
-    return json.dumps({"meta": meta, "rows": record.rows}, indent=2)
+    rows = [{c: row[c] for c in columns} for row in rows]
+    return json.dumps({"meta": meta, "rows": rows}, indent=2)
 
 
-def render(record: OutputRecord, fmt: str) -> str:
-    if fmt == "table":
-        return _render_table(record)
-    if fmt == "csv":
-        return _render_csv(record)
-    if fmt == "json":
-        return _render_json(record)
-    raise UsageError(f"unknown format {fmt!r}")
+_RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +166,16 @@ def _vertex_value_list(text: str) -> list[Fraction]:
     return values
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be at least 1: {text!r}")
+    return count
+
+
 def _merge_list_option_values(argv: list[str]) -> list[str]:
     """Join ``--q -1,1,2`` into ``--q=-1,1,2`` so leading minus signs parse.
 
@@ -218,27 +200,27 @@ def _merge_list_option_values(argv: list[str]) -> list[str]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
-        choices=("table", "csv", "json"),
+        choices=tuple(_RENDERERS),
         default="table",
         help="output rendering (default: table)",
     )
     parser.add_argument(
         "--threads",
-        type=int,
-        default=None,
+        type=_thread_count,
         metavar="N",
         help="worker threads for Monte Carlo sampling, used by sample only "
         "(default: all cores)",
     )
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    value = args.threads
-    if value is None:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise UsageError("thread count must be at least 1")
-    return value
+def _add_model(parser: argparse.ArgumentParser) -> None:
+    """``--n``, ``--p`` and ``--measure``: one expected Betti number's arguments."""
+    parser.add_argument("--n", type=int, required=True, help="number of bars")
+    parser.add_argument("--p", type=int, required=True, help="Betti degree")
+    parser.add_argument(
+        "--measure", choices=("simplex", "cube"), required=True,
+        help="random-length model",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,19 +242,12 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="L1,L2,...",
         help="comma-separated bar lengths; rationals as a/b or exact decimals",
     )
-    _add_common(p_betti)
     p_betti.set_defaults(handler=_cmd_betti)
 
     p_average = sub.add_parser(
         "average", help="exact expected Betti number for one (n, p, measure)"
     )
-    p_average.add_argument("--n", type=int, required=True, help="number of bars")
-    p_average.add_argument("--p", type=int, required=True, help="Betti degree")
-    p_average.add_argument(
-        "--measure", choices=("simplex", "cube"), required=True,
-        help="random-length model",
-    )
-    _add_common(p_average)
+    _add_model(p_average)
     p_average.set_defaults(handler=_cmd_average)
 
     p_conv = sub.add_parser(
@@ -285,21 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--measure", choices=("simplex", "cube", "both"), default="both",
         help="one model or interleaved rows for both (default: both)",
     )
-    _add_common(p_conv)
     p_conv.set_defaults(handler=_cmd_convergence)
 
     p_sample = sub.add_parser(
         "sample", help="Monte Carlo estimate of an expected Betti number"
     )
-    p_sample.add_argument("--n", type=int, required=True, help="number of bars")
-    p_sample.add_argument("--p", type=int, required=True, help="Betti degree")
-    p_sample.add_argument(
-        "--measure", choices=("simplex", "cube"), required=True,
-        help="random-length model",
-    )
+    _add_model(p_sample)
     p_sample.add_argument("--samples", type=int, required=True, help="sample budget")
     p_sample.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    _add_common(p_sample)
     p_sample.set_defaults(handler=_cmd_sample)
 
     p_slice = sub.add_parser(
@@ -312,9 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="Q0,Q1,...",
         help="comma-separated vertex values (at least 2); repeats allowed",
     )
-    _add_common(p_slice)
     p_slice.set_defaults(handler=_cmd_slice)
 
+    for command_parser in sub.choices.values():
+        _add_common(command_parser)
     return parser
 
 
@@ -322,29 +291,26 @@ def _build_parser() -> argparse.ArgumentParser:
 # command handlers
 
 
-def _cmd_betti(args: argparse.Namespace, threads: int) -> OutputRecord:
+def _cmd_betti(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
     from .linkages import LengthVector
 
     profile = _engine("betti_profile")(LengthVector(tuple(args.lengths)))
     generic = "false" if any(profile.median_counts) else "true"
-    record = OutputRecord(
-        command="betti",
-        columns=("p", "betti", "short", "median", "generic"),
-    )
-    for p, value in enumerate(profile.values):
-        record.rows.append(
-            {
-                "p": p,
-                "betti": value,
-                "short": profile.short_counts[p],
-                "median": profile.median_counts[p],
-                "generic": generic,
-            }
-        )
-    return record
+    rows = [
+        {
+            "p": p,
+            "betti": value,
+            "short": profile.short_counts[p],
+            "median": profile.median_counts[p],
+            "generic": generic,
+        }
+        for p, value in enumerate(profile.values)
+    ]
+    return ("p", "betti", "short", "median", "generic"), rows
 
 
 def _average_row(report) -> dict[str, str | int]:
+    """The columns ``average`` and ``convergence`` share."""
     return {
         "n": report.n,
         "p": report.p,
@@ -352,67 +318,45 @@ def _average_row(report) -> dict[str, str | int]:
         "exact_rational": _rational_str(report.exact),
         "exact_decimal": decimal_str(report.exact),
         "binomial": report.binomial,
-        "gap_rational": _rational_str(report.gap),
         "gap_decimal": decimal_str(report.gap),
     }
 
 
-def _cmd_average(args: argparse.Namespace, threads: int) -> OutputRecord:
+def _cmd_average(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
     from .simplexes import Measure
 
     report = _engine("average_betti_exact")(args.n, args.p, Measure(args.measure))
     row = _average_row(report)
-    return OutputRecord(command="average", columns=tuple(row), rows=[row])
+    row["gap_rational"] = _rational_str(report.gap)
+    columns = ("n", "p", "measure", "exact_rational", "exact_decimal", "binomial",
+               "gap_rational", "gap_decimal")
+    return columns, [row]
 
 
-def _cmd_convergence(args: argparse.Namespace, threads: int) -> OutputRecord:
+def _cmd_convergence(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
     from .simplexes import Measure
 
-    record = OutputRecord(
-        command="convergence",
-        columns=(
-            "n",
-            "measure",
-            "p",
-            "exact_rational",
-            "exact_decimal",
-            "binomial",
-            "gap_decimal",
-            "gap_ratio",
-        ),
-    )
-    if args.n_min > args.n_max:
-        return record
     measures = (
         (Measure.SIMPLEX, Measure.CUBE)
         if args.measure == "both"
         else (Measure(args.measure),)
     )
     convergence_table = _engine("convergence_table")
-    tables = {
-        m: convergence_table(args.p, args.n_min, args.n_max, m)
-        for m in measures
-    }
-    for index in range(args.n_max - args.n_min + 1):
-        for m in measures:
-            row = tables[m][index]
-            report = row.report
-            record.rows.append(
-                {
-                    "n": report.n,
-                    "measure": str(m),
-                    "p": report.p,
-                    "exact_rational": _rational_str(report.exact),
-                    "exact_decimal": decimal_str(report.exact),
-                    "binomial": report.binomial,
-                    "gap_decimal": decimal_str(report.gap),
-                    "gap_ratio": "" if row.gap_ratio is None else decimal_str(row.gap_ratio),
-                }
-            )
-    return record
+    tables = [convergence_table(args.p, args.n_min, args.n_max, m) for m in measures]
+    rows = [
+        {
+            **_average_row(row.report),
+            "gap_ratio": "" if row.gap_ratio is None else decimal_str(row.gap_ratio),
+        }
+        for same_n in zip(*tables)
+        for row in same_n
+    ]
+    columns = ("n", "measure", "p", "exact_rational", "exact_decimal", "binomial",
+               "gap_decimal", "gap_ratio")
+    return columns, rows
 
 
-def _cmd_sample(args: argparse.Namespace, threads: int) -> OutputRecord:
+def _cmd_sample(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
     # read when numpy loads; OpenBLAS's threads would only spin beside --threads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .simplexes import Measure
@@ -423,40 +367,29 @@ def _cmd_sample(args: argparse.Namespace, threads: int) -> OutputRecord:
         Measure(args.measure),
         args.samples,
         args.seed,
-        workers=threads,
+        workers=args.threads or os.cpu_count() or 1,
     )
-    return OutputRecord(
-        command="sample",
-        columns=("n", "p", "measure", "samples", "seed", "estimate", "stderr"),
-        rows=[
-            {
-                "n": args.n,
-                "p": args.p,
-                "measure": args.measure,
-                "samples": estimate.samples,
-                "seed": estimate.seed,
-                "estimate": float_str(estimate.estimate),
-                "stderr": float_str(estimate.stderr),
-            }
-        ],
-        seed=estimate.seed,
-    )
+    row = {
+        "n": args.n,
+        "p": args.p,
+        "measure": args.measure,
+        "samples": estimate.samples,
+        "seed": estimate.seed,
+        "estimate": float_str(estimate.estimate),
+        "stderr": float_str(estimate.stderr),
+    }
+    return tuple(row), [row]
 
 
-def _cmd_slice(args: argparse.Namespace, threads: int) -> OutputRecord:
+def _cmd_slice(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
     ratio = _engine("slice_ratio")(args.q)
-    return OutputRecord(
-        command="slice",
-        columns=("values", "count", "ratio_rational", "ratio_decimal"),
-        rows=[
-            {
-                "values": ",".join(str(v) for v in args.q),
-                "count": len(args.q),
-                "ratio_rational": _rational_str(ratio),
-                "ratio_decimal": decimal_str(ratio),
-            }
-        ],
-    )
+    row = {
+        "values": ",".join(str(v) for v in args.q),
+        "count": len(args.q),
+        "ratio_rational": _rational_str(ratio),
+        "ratio_decimal": decimal_str(ratio),
+    }
+    return tuple(row), [row]
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +398,16 @@ def _cmd_slice(args: argparse.Namespace, threads: int) -> OutputRecord:
 
 def main(argv: list[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(_merge_list_option_values(tokens))
+    args = _build_parser().parse_args(_merge_list_option_values(tokens))
     try:
-        threads = _resolve_threads(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        record = args.handler(args, threads)
+        columns, rows = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(render(record, args.format))
+    meta: dict[str, str | int] = {"command": args.command, "version": __version__}
+    if args.command == "sample":
+        meta["seed"] = args.seed
+    print(_RENDERERS[args.format](columns, rows, meta))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""The exception type and the argument check shared across the library."""
 
 
 class DomainError(ValueError):
@@ -8,3 +8,11 @@ class DomainError(ValueError):
     length.  Malformed input (wrong type, unparseable text) keeps raising the
     usual TypeError / ValueError.
     """
+
+
+def check_degree(n: int, p: int) -> None:
+    """Refuse fewer than 3 bars, or a Betti degree p outside 0..n-3."""
+    if n < 3:
+        raise DomainError("Betti numbers need at least 3 bars")
+    if not 0 <= p <= n - 3:
+        raise DomainError(f"degree {p} outside 0..{n - 3}")

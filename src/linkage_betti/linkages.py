@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, check_degree
 
 __all__ = [
     "LengthVector",
@@ -181,20 +181,13 @@ def is_generic(ell: LengthVector) -> bool:
     return all(target - s not in lo_sums for s in hi_sums)
 
 
-def _check_degree(n: int, p: int) -> None:
-    if n < 3:
-        raise DomainError("moduli space topology needs at least 3 bars")
-    if not 0 <= p <= n - 3:
-        raise DomainError(f"degree {p} outside 0..{n - 3}")
-
-
 def betti(ell: LengthVector, p: int) -> int:
     """The p-th Betti number of the moduli space of ``ell``.
 
     Each call computes the whole profile; a caller wanting several degrees
     should call ``betti_profile`` once.
     """
-    _check_degree(ell.n, p)
+    check_degree(ell.n, p)
     return betti_profile(ell).values[p]
 
 
@@ -265,7 +258,7 @@ def betti_profile(ell: LengthVector) -> BettiProfile:
     would have to weigh as much as all the others, the longest included.
     """
     n = ell.n
-    _check_degree(n, 0)
+    check_degree(n, 0)
     anchor = max_length_index(ell)
     short, median = _anchored_class_counts(ell, anchor)
     short_counts = tuple(short[p + 1] for p in range(n - 2))

@@ -25,22 +25,15 @@ simple.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 
 if TYPE_CHECKING:
     from .linkages import IndexSubset
 
-__all__ = [
-    "Measure",
-    "DensitySequence",
-    "VertexValues",
-    "density_sequence",
-    "functional_values",
-]
+__all__ = ["Measure", "density_sequence", "functional_values"]
 
 
 class Measure(enum.Enum):
@@ -53,25 +46,8 @@ class Measure(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DensitySequence:
-    """Running densities alpha_i = |J intersect {1..i}| / i of a subset."""
-
-    subset: IndexSubset
-    alphas: tuple[Fraction, ...]
-
-    def alpha(self, i: int) -> Fraction:
-        """1-based access; alpha(i) is the density of J among the first i indices."""
-        if not 1 <= i <= len(self.alphas):
-            raise DomainError(f"index {i} outside 1..{len(self.alphas)}")
-        return self.alphas[i - 1]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.alphas)
-
-
-def density_sequence(subset: IndexSubset) -> DensitySequence:
-    """Exact running densities of a subset of {1..n}."""
+def density_sequence(subset: IndexSubset) -> tuple[Fraction, ...]:
+    """Exact running densities of a subset of {1..n}: alpha_i at index i - 1."""
     if subset.n < 1:
         raise DomainError("need a nonempty ambient index set")
     hits = 0
@@ -80,40 +56,16 @@ def density_sequence(subset: IndexSubset) -> DensitySequence:
         if i in subset:
             hits += 1
         alphas.append(Fraction(hits, i))
-    return DensitySequence(subset=subset, alphas=tuple(alphas))
+    return tuple(alphas)
 
 
-@dataclass(frozen=True)
-class VertexValues:
-    """Values of a subset's signed-sum functional at the n+1 region vertices.
+def functional_values(subset: IndexSubset, measure: Measure) -> tuple[Fraction, ...]:
+    """Values of the subset's signed-sum functional at the n+1 region vertices, exactly.
 
-    ``values[i]`` is the value at vertex i; values[0] is always 0.  Negating
-    the subset's membership (taking the complement) negates every value.
-    """
-
-    values: tuple[Fraction, ...]
-    measure: Measure
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def negated(self) -> "VertexValues":
-        return VertexValues(tuple(-v for v in self.values), self.measure)
-
-
-def functional_values(subset: IndexSubset, measure: Measure) -> VertexValues:
-    """Vertex values of the subset's signed-sum functional, exactly.
-
-    With h_i = |J intersect {1..i}|, the value at vertex i >= 1 is
-    (2 h_i - i) / i for the simplex measure and 2 h_i - i for the cube
-    measure; vertex 0 gives 0 in both.
+    With h_i = |J intersect {1..i}|, the value at vertex i >= 1 (index i of
+    the tuple) is (2 h_i - i) / i for the simplex measure and 2 h_i - i for
+    the cube measure; vertex 0 gives 0 in both.  Taking the complement of
+    the subset negates every value.
     """
     if subset.n < 1:
         raise DomainError("need a nonempty ambient index set")
@@ -126,4 +78,4 @@ def functional_values(subset: IndexSubset, measure: Measure) -> VertexValues:
             values.append(Fraction(2 * hits - i, i))
         else:
             values.append(Fraction(2 * hits - i))
-    return VertexValues(values=tuple(values), measure=measure)
+    return tuple(values)

@@ -27,7 +27,7 @@ def check_density_bounds(subset: IndexSubset) -> None:
     n = subset.n
     p = len(subset)
     assert p >= 1, "checks apply to nonempty subsets"
-    alphas = density_sequence(subset).alphas
+    alphas = density_sequence(subset)
     half = Fraction(1, 2)
 
     # ceiling: densities fall to 1/2 or below from index 2p on, strictly after
@@ -75,7 +75,7 @@ def check_simplex_values(subset: IndexSubset) -> None:
     n = subset.n
     p = len(subset)
     assert p >= 1
-    values = functional_values(subset, Measure.SIMPLEX).values
+    values = functional_values(subset, Measure.SIMPLEX)
 
     assert values[0] == 0
     assert all(-1 <= q <= 1 for q in values)
@@ -136,7 +136,7 @@ def check_cube_values(subset: IndexSubset) -> None:
     n = subset.n
     p = len(subset)
     assert p >= 1
-    values = functional_values(subset, Measure.CUBE).values
+    values = functional_values(subset, Measure.CUBE)
 
     assert values[0] == 0
     for i, q in enumerate(values):

@@ -36,7 +36,7 @@ PUBLIC = {
 
 MODULE_ONLY = {
     "linkages": ("IndexSubset", "max_length_index"),
-    "simplexes": ("DensitySequence", "VertexValues", "density_sequence", "functional_values"),
+    "simplexes": ("density_sequence", "functional_values"),
     "slicing": ("GroupedValues", "group_values"),
     "averages": ("subset_classes",),
 }

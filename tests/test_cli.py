@@ -7,7 +7,9 @@ Core claims exercised here:
   * exit codes separate malformed input (2) from domain violations (3);
   * sampling runs are byte-identical for identical arguments, also across
     OpenBLAS thread counts in fresh interpreters;
-  * --threads leaves exact output unchanged and refuses a count below 1.
+  * --threads leaves exact output unchanged, and argparse refuses a count
+    below 1 (exit 2) like any other malformed input;
+  * every command's table, csv and json bytes are pinned in cli_outputs.txt.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from linkage_betti.averages import EXACT_MAX_BARS
+from linkage_betti.averages import EXACT_MAX_BARS, convergence_table
 from linkage_betti.cli import main
+from linkage_betti.errors import DomainError
 from linkage_betti.linkages import MAX_BARS
 from linkage_betti.simplexes import Measure
 
@@ -268,6 +271,25 @@ def test_json_round_trips_to_csv(capsys):
         assert buffer.getvalue().rstrip("\n") + "\n" == csv_out
 
 
+def _pinned_outputs() -> list:
+    """One case per ``$ linkage-betti ARGS`` line of ``cli_outputs.txt``:
+    ARGS, and the stdout that follows it up to the next such line."""
+    text = (Path(__file__).parent / "cli_outputs.txt").read_text(encoding="utf-8")
+    cases = []
+    for block in text.split("$ linkage-betti ")[1:]:
+        argv, _, out = block.partition("\n")
+        cases.append(pytest.param(argv, out, id=argv))
+    return cases
+
+
+@pytest.mark.parametrize(("argv", "expected"), _pinned_outputs())
+def test_rendered_bytes_are_pinned(capsys, argv, expected):
+    # every command in every format, json meta with a seed for sample only
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out == expected
+
+
 def test_slice_examples(capsys):
     code, out = run_cli(capsys, "slice", "--q", "-1,1,2", "--format", "csv")
     assert code == 0
@@ -358,6 +380,12 @@ def test_exit_code_3_on_domain_violations(capsys):
     assert main(["sample", "--n", "5", "--p", "0", "--measure", "cube",
                  "--samples", "1000000000000", "--threads", "2"]) == 3
     assert time.perf_counter() - start < 1.0
+    # an empty range is still checked: degree 100 needs n_min >= 103, and
+    # degree -1 does not exist
+    assert main(["convergence", "--p", "100", "--n-min", "5", "--n-max", "4"]) == 3
+    assert main(["convergence", "--p", "-1", "--n-min", "5", "--n-max", "4"]) == 3
+    with pytest.raises(DomainError):
+        convergence_table(-1, 5, 4, Measure.CUBE)
     # every input prints, but the ratio would have more digits than Python prints
     start = time.perf_counter()
     assert main(["slice", "--q", "-1e1500,3e1400,7,-11e1300,13"]) == 3
@@ -371,7 +399,9 @@ def test_threads_flag(capsys):
     _, baseline = run_cli(capsys, *args)
     _, threaded = run_cli(capsys, *args, "--threads", "3")
     assert baseline == threaded
-    assert main([*args, "--threads", "0"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--threads", "0"])
+    assert excinfo.value.code == 2
     capsys.readouterr()
 
 

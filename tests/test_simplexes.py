@@ -3,8 +3,10 @@
 Core claims exercised here:
   * the two vertex families are the exact prefix-average and prefix-indicator
     points;
-  * density sequences satisfy their definition and recurrence exactly;
-  * vertex values equal the signed-sum coefficients dotted with the vertices;
+  * density sequences (tuples, alpha_i at index i - 1) satisfy their
+    definition and recurrence exactly;
+  * vertex values (tuples, vertex i at index i) equal the signed-sum
+    coefficients dotted with the vertices;
   * complementing the subset negates every vertex value;
   * the structural bounds of lemma_checks hold on a seeded corpus.
 """
@@ -56,25 +58,21 @@ def test_vertices_validation_and_dispatch():
 
 def test_density_sequence_example():
     seq = density_sequence(IndexSubset.of({2, 4}, 5))
-    assert seq.alphas == (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
-    assert seq.alpha(2) == Fraction(1, 2)
-    with pytest.raises(DomainError):
-        seq.alpha(0)
-    with pytest.raises(DomainError):
-        seq.alpha(6)
+    assert seq == (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
+    assert seq[2 - 1] == Fraction(1, 2)
 
 
 def test_density_prefix_subsets_saturate():
     for p in (1, 2, 4):
         seq = density_sequence(IndexSubset.of(range(1, p + 1), 10))
-        assert all(seq.alpha(i) == 1 for i in range(1, p + 1))
-        assert all(seq.alpha(i) < 1 for i in range(p + 1, 11))
+        assert all(seq[i - 1] == 1 for i in range(1, p + 1))
+        assert all(seq[i - 1] < 1 for i in range(p + 1, 11))
 
 
 def test_density_odd_subsets_hit_half_exactly_p_times():
     for p in (1, 2, 3):
         seq = density_sequence(IndexSubset.of(range(1, 2 * p, 2), 12))
-        assert sum(1 for a in seq.alphas if a == Fraction(1, 2)) == p
+        assert sum(1 for a in seq if a == Fraction(1, 2)) == p
 
 
 def test_density_recurrence():
@@ -86,19 +84,19 @@ def test_density_recurrence():
         )
         seq = density_sequence(subset)
         for i in range(1, n):
-            expected = Fraction(i, i + 1) * seq.alpha(i) + Fraction(
+            expected = Fraction(i, i + 1) * seq[i - 1] + Fraction(
                 1 if i + 1 in subset else 0, i + 1
             )
-            assert seq.alpha(i + 1) == expected
+            assert seq[i] == expected
 
 
 def test_functional_values_examples():
     simplex = functional_values(IndexSubset.of({1}, 4), Measure.SIMPLEX)
-    assert simplex.values == (0, 1, 0, Fraction(-1, 3), Fraction(-1, 2))
+    assert simplex == (0, 1, 0, Fraction(-1, 3), Fraction(-1, 2))
     cube = functional_values(IndexSubset.of({1, 3}, 4), Measure.CUBE)
-    assert cube.values == (0, 1, 0, 1, 0)
+    assert cube == (0, 1, 0, 1, 0)
     empty = functional_values(IndexSubset.of(set(), 3), Measure.SIMPLEX)
-    assert empty.values == (0, -1, -1, -1)
+    assert empty == (0, -1, -1, -1)
 
 
 def test_functional_values_match_vertex_evaluation():
@@ -113,7 +111,7 @@ def test_functional_values_match_vertex_evaluation():
             expected = evaluate_on_vertices(
                 coefficients, sorted_region_vertices(n, measure)
             )
-            assert functional_values(subset, measure).values == expected
+            assert functional_values(subset, measure) == expected
 
 
 def test_complement_negates_values():
@@ -126,7 +124,7 @@ def test_complement_negates_values():
         for measure in Measure:
             direct = functional_values(subset, measure)
             flipped = functional_values(subset.complement(), measure)
-            assert direct.negated().values == flipped.values
+            assert tuple(-v for v in direct) == flipped
 
 
 def test_cube_values_scale_simplex_values():
@@ -136,8 +134,8 @@ def test_cube_values_scale_simplex_values():
         subset = IndexSubset.of(
             {i for i in range(1, n + 1) if rnd.random() < 0.5}, n
         )
-        a = functional_values(subset, Measure.SIMPLEX).values
-        b = functional_values(subset, Measure.CUBE).values
+        a = functional_values(subset, Measure.SIMPLEX)
+        b = functional_values(subset, Measure.CUBE)
         assert all(b[i] == i * a[i] for i in range(n + 1))
 
 
