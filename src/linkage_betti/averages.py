@@ -63,9 +63,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import DomainError, check_degree
 from .sampling import (
@@ -122,8 +121,7 @@ def subset_classes(n: int, p: int) -> tuple[Iterator[IndexSubset], Iterator[Inde
     return anchored(p + 1), anchored(n - 2 - p)
 
 
-@dataclass(frozen=True)
-class AverageReport:
+class AverageReport(NamedTuple):
     """One exact expected Betti number and its binomial reference.
 
     ``class_sums`` holds T(p + 1) and T(n - 2 - p).  ``term_count`` is the
@@ -226,8 +224,7 @@ def average_betti_exact(
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One convergence-table row: a report plus the gap shrink factor.
 
     ``gap_ratio`` is |gap(n)| / |gap(n-1)| against the previous row of the

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, check_degree
 
@@ -51,19 +51,19 @@ __all__ = [
 MAX_BARS = 40
 
 
-@dataclass(frozen=True)
-class LengthVector:
+class LengthVector(namedtuple("LengthVector", "lengths")):
     """Positive bar lengths held exactly as rationals."""
 
-    lengths: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.lengths:
+    def __new__(cls, lengths: tuple[Fraction, ...]) -> "LengthVector":
+        if not lengths:
             raise DomainError("a length vector needs at least one bar")
-        if any(not isinstance(l, Fraction) for l in self.lengths):
+        if any(not isinstance(l, Fraction) for l in lengths):
             raise TypeError("lengths must be Fractions; use LengthVector.of")
-        if any(l <= 0 for l in self.lengths):
+        if any(l <= 0 for l in lengths):
             raise DomainError("bar lengths must be positive")
+        return super().__new__(cls, lengths)
 
     @classmethod
     def of(cls, *lengths: Fraction | int | str) -> "LengthVector":
@@ -94,18 +94,18 @@ class LengthVector:
         return tuple(int(l * common) for l in self.lengths)
 
 
-@dataclass(frozen=True)
 class IndexSubset:
     """A subset of the 1-based bar index set {1, ..., n}."""
 
-    members: frozenset[int]
-    n: int
+    __slots__ = ("members", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, members: frozenset[int], n: int) -> None:
+        if n < 0:
             raise DomainError("ambient size must be nonnegative")
-        if any(not (1 <= i <= self.n) for i in self.members):
-            raise DomainError(f"members must lie in 1..{self.n}")
+        if any(not (1 <= i <= n) for i in members):
+            raise DomainError(f"members must lie in 1..{n}")
+        self.members = members
+        self.n = n
 
     @classmethod
     def of(cls, members: Iterable[int], n: int) -> "IndexSubset":
@@ -124,8 +124,7 @@ class IndexSubset:
         return IndexSubset(frozenset(range(1, self.n + 1)) - self.members, self.n)
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(NamedTuple):
     """The full Betti vector of one moduli space plus its counting data.
 
     ``values[p]`` is b_p for p = 0..n-3.  ``short_counts[k]`` and

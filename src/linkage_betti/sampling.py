@@ -15,8 +15,7 @@ starts OpenBLAS threads, which every process that never samples would pay.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import DomainError
 
@@ -39,8 +38,7 @@ MC_MAX_SAMPLES = 2**30
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     """A seeded estimate with its standard error."""
 
     estimate: float

@@ -6,7 +6,11 @@ ratio per anchored subset, from vertex values built here (the slice kernel
 itself is checked against the oracles below).  ``subset_volume_term`` is one
 term of that sum for a given subset, and ``three_value_class_sum`` is the
 earlier simplex closed form, which sends each Gamma race of the ``averages``
-docstring through the slice kernel as a cut on three distinct values.  The
+docstring through the slice kernel as a cut on three distinct values.
+``expected_short_subsets`` is E[S_k], the expected number of short k-subsets
+(anchored or not), from a binomial tail for the simplex and, for the cube,
+an Irwin-Hall distribution function summed from Eulerian numbers rather
+than from the alternating sum in ``averages``.  The
 slice oracles integrate geometrically (exact polygon clipping in 2D, direct
 interval arithmetic in 1D) or evaluate the older closed forms the residue
 kernel replaced: the partial-fraction sum for distinct values and the
@@ -223,6 +227,52 @@ def three_value_class_sum(n: int, k: int) -> Fraction:
             )
             total += weight * slice_ratio(signs + [Fraction(1 + a - b, rate)])
     return n * math.comb(n - 1, k - 1) * total
+
+
+def eulerian_numbers(m: int, count: int) -> list[int]:
+    """Eulerian numbers A(m, 0), ..., A(m, count - 1) for m >= 1.
+
+    A(m, j) counts the permutations of m items with j descents.  Row by row,
+    A(m, j) = (j + 1) A(m - 1, j) + (m - j) A(m - 1, j - 1); column j needs
+    only columns j and j - 1 of the row before, so the first ``count``
+    columns cost O(m * count) additions of positive integers.
+    """
+    row = [1]
+    for k in range(2, m + 1):
+        row = [
+            (j + 1) * (row[j] if j < len(row) else 0) + (k - j) * (row[j - 1] if j else 0)
+            for j in range(min(k, count))
+        ]
+    return row[:count]
+
+
+def irwin_hall_cdf(m: int, k: int) -> Fraction:
+    """P(U_1 + ... + U_m <= k) for m >= 1 iid U[0, 1] and an integer k.
+
+    P(j < IH_m <= j + 1) = A(m, j) / m!, and m - IH_m has the law of IH_m,
+    so the shorter prefix of the Eulerian row serves.
+    """
+    if k <= 0:
+        return Fraction(0)
+    if k >= m:
+        return Fraction(1)
+    if 2 * k > m:
+        return 1 - irwin_hall_cdf(m, m - k)
+    return Fraction(sum(eulerian_numbers(m, k)), math.factorial(m))
+
+
+def expected_short_subsets(n: int, k: int, measure: Measure) -> Fraction:
+    """E[S_k]: the expected number of short k-subsets of n random bars, anchored or not.
+
+    Simplex: a sum of k coordinates is Beta(k, n - k), below 1/2 with
+    probability P(Bin(n - 1, 1/2) >= k).  Cube: U -> 1 - U on the subset
+    turns "the subset weighs less than the rest" into IH_n > k.
+    """
+    if measure is Measure.SIMPLEX:
+        tail = Fraction(sum(math.comb(n - 1, i) for i in range(k, n)), 2 ** (n - 1))
+    else:
+        tail = 1 - irwin_hall_cdf(n, k)
+    return math.comb(n, k) * tail
 
 
 def blockwise_mc_counts(

@@ -13,6 +13,11 @@ Core claims exercised here:
     validated against the seeded Monte Carlo path at 3 standard errors;
   * convergence tables expose signed gaps and shrink ratios, with None after
     an exactly-zero gap;
+  * up to both exact ceilings (``hypothesis`` tests), the complement identity
+    T(k) - T(n-k) = E[S_k] - C(n-1, k) holds and the cube gap equals
+    (C(n-1,p) - C(n-1,p+2)) P(IH_{n-1} <= p+1), with E[S_k] and the
+    Irwin-Hall CDF from the oracles (Eulerian numbers for the cube); the cube
+    gap is exactly 0 at n = 2p + 3;
   * per-term bounds and anchor-relabeling invariance hold on the computed
     range;
   * size ceilings refuse oversized exact and Monte Carlo requests at once;
@@ -30,11 +35,13 @@ import math
 import time
 import tracemalloc
 import warnings
+from collections import Counter
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linkage_betti import (
@@ -60,6 +67,9 @@ from linkage_betti.slicing import _cached_ratio
 from oracles import (
     blockwise_mc_counts,
     enumerated_class_sums,
+    eulerian_numbers,
+    expected_short_subsets,
+    irwin_hall_cdf,
     subset_volume_term,
     three_value_class_sum,
 )
@@ -273,6 +283,64 @@ def test_convergence_zero_gap_yields_none_ratio():
     assert by_n[5].gap_ratio == 0
     assert by_n[6].gap_ratio is None
     assert by_n[7].gap_ratio is not None
+
+
+def test_eulerian_oracle_counts_descents():
+    for m in range(1, 7):
+        descents = Counter(
+            sum(a > b for a, b in zip(perm, perm[1:]))
+            for perm in itertools.permutations(range(m))
+        )
+        row = [descents[j] for j in range(m)]
+        assert eulerian_numbers(m, m) == row
+        assert eulerian_numbers(m, 2) == row[:2]
+    assert irwin_hall_cdf(3, 1) == Fraction(1, 6)
+    assert irwin_hall_cdf(3, 2) == Fraction(5, 6)
+
+
+@st.composite
+def _ceiling_sizes(draw):
+    """A measure, n up to its exact ceiling and a size 2 <= k <= n - 2."""
+    measure = draw(st.sampled_from(list(Measure)))
+    n = draw(st.integers(4, EXACT_MAX_BARS[measure]))
+    return measure, n, draw(st.integers(2, n - 2))
+
+
+@settings(max_examples=8, deadline=timedelta(seconds=3))
+@given(case=_ceiling_sizes())
+@example(case=(Measure.SIMPLEX, EXACT_MAX_BARS[Measure.SIMPLEX], 50))
+@example(case=(Measure.CUBE, EXACT_MAX_BARS[Measure.CUBE], 450))
+def test_complement_identity_up_to_the_ceilings(case):
+    # T(k) - T(n - k) = E[S_k] - C(n - 1, k): a short k-subset that misses
+    # the longest bar is the complement of a long (n - k)-subset through it
+    measure, n, k = case
+    t_k = average_betti_exact(n, k - 1, measure).class_sums[0]
+    t_rest = average_betti_exact(n, k - 2, measure).class_sums[1]
+    assert t_k - t_rest == expected_short_subsets(n, k, measure) - math.comb(n - 1, k)
+
+
+@st.composite
+def _cube_degrees(draw):
+    n = draw(st.integers(3, EXACT_MAX_BARS[Measure.CUBE]))
+    return n, draw(st.integers(0, n - 3))
+
+
+@settings(max_examples=8, deadline=timedelta(seconds=3))
+@given(case=_cube_degrees())
+@example(case=(EXACT_MAX_BARS[Measure.CUBE], 0))
+@example(case=(EXACT_MAX_BARS[Measure.CUBE], 448))
+def test_cube_gap_is_one_irwin_hall_cdf(case):
+    # U -> 1 - U on the other n - 1 bars gives T(n - 2 - p) =
+    # C(n-1, p+2) P(IH_{n-1} <= p+1) and T(p + 1) = C(n-1, p) (1 - that)
+    n, p = case
+    weight = math.comb(n - 1, p) - math.comb(n - 1, p + 2)
+    assert average_betti_exact(n, p, Measure.CUBE).gap == weight * irwin_hall_cdf(n - 1, p + 1)
+
+
+def test_cube_gap_vanishes_at_n_equal_2p_plus_3():
+    # C(2p + 2, p) = C(2p + 2, p + 2) zeroes the weight of the identity above
+    for p in (2, 3, 10, 57, 200, (EXACT_MAX_BARS[Measure.CUBE] - 3) // 2):
+        assert average_betti_exact(2 * p + 3, p, Measure.CUBE).gap == 0
 
 
 def test_convergence_validation():

@@ -4,7 +4,8 @@ Core claims exercised here:
   * the documented commands produce the pinned exact values;
   * the CSV schema is stable, JSON round-trips to the same CSV bytes, and
     decimal columns agree with the rational columns to 12 significant digits;
-  * exit codes separate malformed input (2) from domain violations (3);
+  * exit codes separate malformed input (2) from domain violations (3), and
+    a slice too costly to sweep exits 3 within one second of CPU;
   * sampling runs are byte-identical for identical arguments, also across
     OpenBLAS thread counts in fresh interpreters;
   * --threads leaves exact output unchanged, and argparse refuses a count
@@ -50,6 +51,14 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
 
 def parse_csv(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """This process's environment plus ``overrides``, importing the package from ``src``."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_betti_equilateral(capsys):
@@ -213,11 +222,9 @@ def test_sample_reruns_are_byte_identical(capsys):
 def test_sample_is_byte_identical_across_blas_threads():
     # n = 19, p = 7 has one-row tiles, whose products OpenBLAS splits over
     # two threads when it may
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {}
     for blas_threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = child_env(OPENBLAS_NUM_THREADS=blas_threads)
         outputs[blas_threads] = [
             subprocess.run(
                 [sys.executable, "-m", "linkage_betti", "sample", "--n", n, "--p", p,
@@ -321,6 +328,32 @@ def test_slice_of_many_repeated_values_is_fast_and_exact(capsys):
     row = dict(zip(*parse_csv(out)))
     assert (row["count"], row["ratio_rational"]) == ("200", "1/2")
     assert elapsed < 2.0, elapsed
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        list(range(-799, 801)),
+        [-1] * 1067 + [1] * 1067 + [2] * 1066,
+        [(-1) ** k * (10**999 + k) for k in range(50)],
+    ],
+    ids=["1600-distinct", "3200-in-three-groups", "50-of-1000-digits"],
+)
+def test_slice_refuses_a_costly_sweep_within_a_cpu_second(values):
+    # each took 10-25 s of CPU before the cost check; the child limits its
+    # own CPU to one second, past which SIGXCPU ends it without exit code 3
+    script = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (1, 2))\n"
+        "sys.argv = ['linkage-betti', 'slice', '--q', sys.argv[1]]\n"
+        "runpy.run_module('linkage_betti', run_name='__main__', alter_sys=True)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, ",".join(map(str, values))],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert result.returncode == 3, result
+    assert "slice cost limit" in result.stderr
 
 
 def test_table_format_is_aligned(capsys):

@@ -319,6 +319,13 @@ def test_length_vector_validation():
         LengthVector.of(1, "-1/2")
     with pytest.raises(TypeError):
         LengthVector.of(0.5)
+    # the constructor itself checks, not only ``of``
+    with pytest.raises(DomainError):
+        LengthVector(())
+    with pytest.raises(TypeError):
+        LengthVector((Fraction(1), 2))
+    with pytest.raises(DomainError):
+        LengthVector((Fraction(1), Fraction(-1, 2)))
     assert LengthVector.of("1/3", "0.25").lengths == (Fraction(1, 3), Fraction(1, 4))
 
 

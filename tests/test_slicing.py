@@ -9,13 +9,16 @@ Core claims exercised here:
   * the CDF is a genuine distribution function of the vertex values, repeated
     or not, and does not fill the slice cache;
   * the dispatcher's two evaluation routes agree exactly, complement and
-    partition-of-unity identities hold exactly.
+    partition-of-unity identities hold exactly;
+  * a sweep whose cost estimate passes the limit is refused at once, on
+    either route and through ``slice_cdf`` too.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +29,6 @@ from linkage_betti import DomainError, Measure, slice_cdf, slice_ratio
 from linkage_betti.linkages import IndexSubset
 from linkage_betti.simplexes import functional_values
 from linkage_betti.slicing import (
-    GroupedValues,
     _cached_ratio,
     _negative_side_sum,
     _residue,
@@ -54,7 +56,10 @@ def _random_distinct(rnd: random.Random, count: int) -> list[Fraction]:
     return values
 
 
-def _random_grouped(rnd: random.Random, mixed_sign: bool = False) -> GroupedValues:
+def _random_grouped(
+    rnd: random.Random, mixed_sign: bool = False
+) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """Decreasing distinct values and multiplicities, at least one above 1."""
     while True:
         groups = rnd.randint(2, 5)
         distinct = sorted(
@@ -65,17 +70,21 @@ def _random_grouped(rnd: random.Random, mixed_sign: bool = False) -> GroupedValu
             continue
         if mixed_sign and not (distinct[0] > 0 and distinct[-1] < 0):
             continue
-        return GroupedValues(tuple(distinct), tuple(mults))
+        return tuple(distinct), tuple(mults)
+
+
+def _expand(distinct, mults) -> list[Fraction]:
+    """The vertex values a (distinct, multiplicities) pair groups."""
+    return [v for v, m in zip(distinct, mults) for _ in range(m)]
 
 
 def test_group_values_examples():
-    g = group_values([0, 1, 0, Fraction(-1, 3), Fraction(-1, 2)])
-    assert g.distinct == (1, 0, Fraction(-1, 3), Fraction(-1, 2))
-    assert g.multiplicities == (1, 2, 1, 1)
-    g = group_values([Fraction(3), Fraction(3), Fraction(3)])
-    assert (g.distinct, g.multiplicities) == ((3,), (3,))
-    g = group_values([0, 1, 0, 1, 0])
-    assert (g.distinct, g.multiplicities) == ((1, 0), (2, 3))
+    assert group_values([0, 1, 0, Fraction(-1, 3), Fraction(-1, 2)]) == (
+        (1, 0, Fraction(-1, 3), Fraction(-1, 2)), (1, 2, 1, 1))
+    assert group_values([Fraction(3), Fraction(3), Fraction(3)]) == ((3,), (3,))
+    assert group_values([0, 1, 0, 1, 0]) == ((1, 0), (2, 3))
+    with pytest.raises(DomainError):
+        group_values([])
 
 
 def test_grouped_values_invariants():
@@ -83,14 +92,12 @@ def test_grouped_values_invariants():
     for _ in range(100):
         n = rnd.randint(1, 10)
         values = [Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)) for _ in range(n + 1)]
-        g = group_values(values)
-        assert sum(g.multiplicities) == n + 1
-        assert g.ambient_dim == n
-        assert all(a > b for a, b in zip(g.distinct, g.distinct[1:]))
-    with pytest.raises(DomainError):
-        GroupedValues((Fraction(1), Fraction(2)), (1, 1))
-    with pytest.raises(DomainError):
-        GroupedValues((Fraction(2), Fraction(1)), (0, 1))
+        distinct, mults = group_values(values)
+        assert len(distinct) == len(mults)
+        assert sum(mults) == n + 1
+        assert all(m >= 1 for m in mults)
+        assert all(a > b for a, b in zip(distinct, distinct[1:]))
+        assert sorted(_expand(distinct, mults)) == sorted(values)
 
 
 def test_weak_compositions():
@@ -163,8 +170,7 @@ def test_slice_cdf_is_a_distribution_function():
 def test_slice_cdf_with_repeated_values():
     rnd = random.Random(81)
     for _ in range(40):
-        grouped = _random_grouped(rnd)
-        q = [v for v, m in zip(grouped.distinct, grouped.multiplicities) for _ in range(m)]
+        q = _expand(*_random_grouped(rnd))
         lo, hi = min(q), max(q)
         grid = [lo + (hi - lo) * Fraction(t, 24) for t in range(25)]
         values = [slice_cdf(q, x) for x in grid]
@@ -230,8 +236,7 @@ def test_confluent_factor_is_one_for_simple_groups():
     # a simple value's residue is its partial-fraction term alone
     rnd = random.Random(103)
     for _ in range(50):
-        grouped = _random_grouped(rnd)
-        distinct, mults = grouped.distinct, grouped.multiplicities
+        distinct, mults = _random_grouped(rnd)
         for i, (q_i, mult) in enumerate(zip(distinct, mults)):
             if mult == 1:
                 assert confluent_factor(distinct, mults, i) == 1
@@ -240,18 +245,16 @@ def test_confluent_factor_is_one_for_simple_groups():
                     for q_j, m_j in zip(distinct, mults):
                         if q_j != q_i:
                             term *= (q_i / (q_i - q_j)) ** m_j
-                    assert _residue(grouped, i) == term
+                    assert _residue(distinct, mults, i) == term
 
 
 def test_confluent_homogeneity():
     rnd = random.Random(107)
     for _ in range(60):
-        grouped = _random_grouped(rnd)
+        distinct, mults = _random_grouped(rnd)
         factor = Fraction(rnd.randint(1, 9), rnd.randint(1, 9))
-        scaled = GroupedValues(
-            tuple(v * factor for v in grouped.distinct), grouped.multiplicities
-        )
-        assert slice_ratio(scaled) == slice_ratio(grouped)
+        scaled = _expand([v * factor for v in distinct], mults)
+        assert slice_ratio(scaled) == slice_ratio(_expand(distinct, mults))
 
 
 def test_perturbation_limit_monotone():
@@ -259,12 +262,12 @@ def test_perturbation_limit_monotone():
     done = 0
     while done < 25:
         grouped = _random_grouped(rnd, mixed_sign=True)
-        target = slice_ratio(grouped)
+        target = slice_ratio(_expand(*grouped))
         distances = []
         collided = False
         for eps in (Fraction(1, 10**3), Fraction(1, 10**4), Fraction(1, 10**5)):
             values = []
-            for q, mult in zip(grouped.distinct, grouped.multiplicities):
+            for q, mult in zip(*grouped):
                 values.extend(q + eps * t for t in range(mult))
             if len(set(values)) != len(values):
                 collided = True
@@ -287,12 +290,13 @@ def test_dispatcher_routes_agree():
             {i for i in range(1, n + 1) if rnd.random() < 0.5} or {1}, n
         )
         for measure in Measure:
-            grouped = group_values(functional_values(subset, measure))
-            direct = _negative_side_sum(grouped)
-            complemented = 1 - _negative_side_sum(grouped.negated())
+            values = functional_values(subset, measure)
+            distinct, mults = group_values(values)
+            direct = _negative_side_sum(distinct, mults)
+            complemented = 1 - _negative_side_sum(*group_values([-v for v in values]))
             assert direct == complemented
-            assert slice_ratio(grouped) == direct
-            assert weak_composition_slice_ratio(functional_values(subset, measure)) == direct
+            assert slice_ratio(values) == direct
+            assert weak_composition_slice_ratio(values) == direct
 
 
 def test_dispatcher_edge_cases():
@@ -302,6 +306,18 @@ def test_dispatcher_edge_cases():
     assert slice_ratio([Fraction(-1), Fraction(-2)]) == 1
     with pytest.raises(DomainError):
         slice_ratio([Fraction(1)])
+
+
+def test_costly_sweeps_are_refused_before_the_first_residue():
+    # 3,200 values in three groups, either side of the cut evaluated; without
+    # the check each sweep takes about 25 s
+    for sign in (1, -1):
+        q = [Fraction(sign * v) for v in (-1, 1, 2) for _ in range(1067)]
+        for call in (slice_ratio, lambda values: slice_cdf(values, 0)):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="slice cost limit"):
+                call(q)
+            assert time.perf_counter() - start < 1.0
 
 
 _VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=6)

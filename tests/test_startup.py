@@ -7,7 +7,8 @@ thread unless the caller chose a count.  ``import linkage_betti`` loads no
 submodule, and each command loads its own engine and the standard modules
 it renders with, not the others'.  Each check runs in a fresh interpreter,
 where ``sys.modules`` and ``/proc/self/status`` show exactly what the package
-and one command started.
+and one command started.  No command loads ``dataclasses``, and only
+``sample``, through numpy, loads ``inspect``.
 """
 
 from __future__ import annotations
@@ -132,6 +133,27 @@ def test_betti_loads_neither_the_expectation_engines_nor_json():
                "linkage_betti.simplexes", "linkage_betti.slicing", "json")
     body = _command("betti", "--lengths", "3,1,1,1,1", "--format", "csv")
     assert _loaded_after(body, engines + ("linkage_betti.linkages",)) == {"linkage_betti.linkages"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--version",),
+        ("betti", "--lengths", "3,1,1,1,1", "--format", "json"),
+        ("average", "--n", "7", "--p", "1", "--measure", "cube"),
+        ("convergence", "--p", "0", "--n-min", "3", "--n-max", "5", "--format", "csv"),
+        ("slice", "--q", "-1,1,1,3"),
+        ("sample", "--n", "5", "--p", "0", "--measure", "cube", "--samples", "100",
+         "--threads", "1"),
+    ],
+    ids=lambda argv: argv[0].lstrip("-"),
+)
+def test_no_command_loads_dataclasses_and_only_sample_loads_inspect(argv):
+    # the records are named tuples; ``dataclasses`` would pull in ``inspect``
+    # and with it ``ast``, ``dis`` and ``tokenize``, while numpy loads
+    # ``inspect`` by itself
+    loaded = _loaded_after(_command(*argv), ("dataclasses", "inspect"))
+    assert loaded == ({"inspect"} if argv[0] == "sample" else set())
 
 
 @pytest.mark.parametrize(
