@@ -15,16 +15,18 @@ twice.
 Read literally, T(k) is a sum over the C(n-1, k-1) anchored subsets J of the
 sorted-region volume fraction r(J) on which J is short (``subset_classes``
 below lists them; ``tests/oracles.py`` sums that definition).  Exchangeability
-collapses the sum to O(n^2) terms.  Below, A holds the k - 1 other members
-of J and B the n - k non-members.
+collapses the sum to O(n) terms (cube) or O(n^2) (simplex).  Below, A holds
+the k - 1 other members of J and B the n - k non-members.
 
-* cube measure (iid uniform lengths):
-      T(k) = C(n-1, k-1) * P(IH_{n-1} > k),
-  IH_m the Irwin-Hall sum of m iid U[0, 1], whose tail at an integer k is
-  1 - sum_{j <= k} (-1)^j C(m, j) (k - j)^m / m!.  Conditioning on the
-  longest bar and rescaling makes the other n - 1 lengths iid U[0, 1]; then
-  J short reads 1 + sum_A U < sum_B U, and U -> 1 - U on A (same law) turns
-  it into: the sum of all n - 1 exceeds k.
+* cube measure (iid uniform lengths): with F = P(IH_{n-1} <= p + 1),
+      E[b_p] = C(n-1, p) (1 - F) + C(n-1, p+2) F,
+  IH_m the Irwin-Hall sum of m iid U[0, 1].  Conditioning on the longest bar
+  and rescaling makes the other n - 1 lengths iid U[0, 1], and J short reads
+  1 + sum_A U < sum_B U.  U -> 1 - U on A turns that into IH_{n-1} > k, so
+  T(p + 1) = C(n-1, p) (1 - F); U -> 1 - U on B instead turns it into
+  IH_{n-1} < n - 1 - k, so T(n - 2 - p) = C(n-1, p+2) F.  At an integer k,
+  P(IH_m <= k) = sum_{j <= k} (-1)^j C(m, j) (k - j)^m / m!, and m - IH_m has
+  the law of IH_m, so min(k, m - k) + 1 terms serve.
 * simplex measure (uniform on the probability simplex):
       T(k) = n C(n-1, k-1) * sum_{a < k, b <= n-k} (-1)^(a+b) C(k-1, a)
              C(n-k, b) / (1+a+b) * G(k-1, n-k, c_ab),
@@ -95,9 +97,9 @@ __all__ = [
 # Largest bar count per measure, for single values and convergence tables
 # alike.  The costliest request it admits is a whole table, n = p + 3 up to
 # the ceiling, at its costliest degree.  Timed interleaved, 3 runs each
-# (CPython 3.11, one Xeon vCPU): cube p = 0 to 900 bars 11.6-12.3 s, simplex
-# p = 34 to 100 bars 6.1-6.2 s.  One central degree at the ceiling takes
-# 0.22 s (simplex) and 0.03 s (cube).  The rationals have about 2,300 digits
+# (CPython 3.11, one Xeon vCPU): simplex p = 34 to 100 bars 4.0-4.9 s, cube
+# p = 350 to 900 bars 2.9-3.6 s.  One central degree at the ceiling takes
+# 0.26 s (simplex) and 0.02 s (cube).  The rationals have about 2,300 digits
 # (cube) and 1,100 (simplex) at the ceilings, within the 4,300 that Python's
 # default int-to-str prints.
 EXACT_MAX_BARS = {Measure.SIMPLEX: 100, Measure.CUBE: 900}
@@ -151,15 +153,12 @@ def _check_exact_size(n: int, measure: Measure) -> None:
         )
 
 
-def _irwin_hall_tail(m: int, k: int) -> Fraction:
-    """P(U_1 + ... + U_m > k) for m iid U[0, 1] and an integer k >= 0."""
+def _irwin_hall_cdf(m: int, k: int) -> Fraction:
+    """P(U_1 + ... + U_m <= k) for m iid U[0, 1] and an integer 0 <= k <= m."""
+    if 2 * k > m:
+        return 1 - _irwin_hall_cdf(m, m - k)
     below = sum((-1) ** j * math.comb(m, j) * (k - j) ** m for j in range(k + 1))
-    return 1 - Fraction(below, math.factorial(m))
-
-
-def _anchored_short_cube(n: int, k: int) -> Fraction:
-    """T(k) under the cube measure (module docstring)."""
-    return math.comb(n - 1, k - 1) * _irwin_hall_tail(n - 1, k)
+    return Fraction(below, math.factorial(m))
 
 
 def _race(K: int, m: int, s: int, t: int) -> tuple[int, int]:
@@ -201,18 +200,20 @@ def average_betti_exact(
     """Exact expected p-th Betti number for n bars under the given measure.
 
     Evaluates the closed forms of the module docstring, neither of which
-    calls the slice kernel: an Irwin-Hall tail for the cube measure and
+    calls the slice kernel: one Irwin-Hall CDF for the cube measure and
     O(n^2) integer sums G for the simplex.
     Refused with DomainError above ``EXACT_MAX_BARS[measure]`` bars.
     ``workers`` is accepted and ignored; the exact path starts no threads.
     """
     check_degree(n, p)
     _check_exact_size(n, measure)
-    anchored_short = (
-        _anchored_short_simplex if measure is Measure.SIMPLEX else _anchored_short_cube
-    )
-    first = anchored_short(n, p + 1)
-    second = first if n == 2 * p + 3 else anchored_short(n, n - 2 - p)
+    if measure is Measure.CUBE:
+        below = _irwin_hall_cdf(n - 1, p + 1)
+        first = math.comb(n - 1, p) * (1 - below)
+        second = math.comb(n - 1, p + 2) * below
+    else:
+        first = _anchored_short_simplex(n, p + 1)
+        second = first if n == 2 * p + 3 else _anchored_short_simplex(n, n - 2 - p)
     return AverageReport(
         n=n,
         p=p,
@@ -244,10 +245,7 @@ def convergence_table(
     The degree, ``n_min`` and ``n_max`` (against ``EXACT_MAX_BARS``) are
     checked before the first row, so an empty range is checked too.
     """
-    if p < 0:
-        raise DomainError(f"degree {p} is negative")
-    if n_min < p + 3:
-        raise DomainError(f"need n_min >= {p + 3} so degree {p} exists")
+    check_degree(n_min, p)
     _check_exact_size(n_max, measure)
     rows: list[ConvergenceRow] = []
     previous_gap: Fraction | None = None

@@ -19,8 +19,8 @@ All a_k and m_k come from one meet-in-the-middle count (Horowitz-Sahni
 O(n 2^(n/2)) time: about 0.01 s at n = 23 and 7 s at n = 40 under
 CPython 3.11 on one Xeon vCPU.  ``betti`` and ``betti_profile`` read that
 count, and the vector is generic exactly when it finds no median subset.
-Vectors with more than MAX_BARS bars are refused with DomainError before any
-work starts.
+Vectors with more than MAX_BARS bars, or whose half sums would hold more than
+MAX_SUM_BITS bits, are refused with DomainError before any subset sum.
 
 Everything in this module is exact: lengths are arbitrary-precision rationals
 and all comparisons clear denominators before comparing integers.
@@ -49,6 +49,13 @@ __all__ = [
 
 # Largest bar count whose subset count finishes in about 10 s (14 s at n = 41).
 MAX_BARS = 40
+
+# Most bits the half sums of one count may hold: the rescaled total's bit
+# length times the 2^floor((n-1)/2) + 2^ceil((n-1)/2) sums.  The peak is
+# about 1.2 bytes per 8 such bits: 30 bars of 1,200-digit coprime
+# denominators (5.9e9 bits) took 2.1 s and 0.86 GB, and 32 bars of 2,000
+# digits (2.1e10) would need about 3 GB.
+MAX_SUM_BITS = 6 * 10**9
 
 
 class LengthVector(namedtuple("LengthVector", "lengths")):
@@ -91,7 +98,7 @@ class LengthVector(namedtuple("LengthVector", "lengths")):
         comparisons downstream run on integers.
         """
         common = math.lcm(*(l.denominator for l in self.lengths))
-        return tuple(int(l * common) for l in self.lengths)
+        return tuple(l.numerator * (common // l.denominator) for l in self.lengths)
 
 
 class IndexSubset:
@@ -149,12 +156,24 @@ def max_length_index(ell: LengthVector) -> int:
     return best + 1
 
 
-def _check_bar_count(ell: LengthVector) -> None:
+def _checked_weights(ell: LengthVector) -> tuple[int, ...]:
+    """``ell.scaled_integers()``, refused with DomainError past MAX_BARS bars
+    or MAX_SUM_BITS bits of half sums, before any subset sum is formed."""
     if ell.n > MAX_BARS:
         raise DomainError(
             f"{ell.n} bars exceed the subset-count limit of {MAX_BARS} "
             "(cost doubles every two bars)"
         )
+    weights = ell.scaled_integers()
+    size = sum(weights).bit_length()
+    rest = ell.n - 1
+    bits = size * (2 ** (rest // 2) + 2 ** (rest - rest // 2))
+    if bits > MAX_SUM_BITS:
+        raise DomainError(
+            f"{ell.n} bars rescaled to {size}-bit integers exceed the subset-sum "
+            f"limit ({bits:.1e} > {MAX_SUM_BITS:.0e} bits)"
+        )
+    return weights
 
 
 def is_generic(ell: LengthVector) -> bool:
@@ -162,10 +181,9 @@ def is_generic(ell: LengthVector) -> bool:
 
     Equivalently, no subset of bars weighs exactly half the total.  Decided
     exactly via meet-in-the-middle over the integer rescale, in
-    O(2^(n/2)) set operations; refused with DomainError above MAX_BARS bars.
+    O(2^(n/2)) set operations; refused with DomainError as ``betti_profile`` is.
     """
-    _check_bar_count(ell)
-    weights = ell.scaled_integers()
+    weights = _checked_weights(ell)
     total = sum(weights)
     if total % 2:
         return True
@@ -212,8 +230,7 @@ def _anchored_class_counts(ell: LengthVector, anchor: int) -> tuple[list[int], l
     once; a size pair whose sums are all short or all long needs none.
     Returns (short, median) with index = subset size.
     """
-    _check_bar_count(ell)
-    weights = ell.scaled_integers()
+    weights = _checked_weights(ell)
     n = len(weights)
     total = sum(weights)
     rest = weights[: anchor - 1] + weights[anchor:]
@@ -244,8 +261,8 @@ def betti_profile(ell: LengthVector) -> BettiProfile:
     The anchor is the first bar of maximal length.  The count is a
     meet-in-the-middle pass over the other n - 1 bars: O(2^(n/2)) subset
     sums and O(n 2^(n/2)) bisections (times in the module docstring).
-    Vectors with more than MAX_BARS bars are refused with DomainError
-    before any work.
+    Vectors past MAX_BARS bars or MAX_SUM_BITS bits of half sums are refused
+    with DomainError before any subset sum.
 
     The profile also decides genericity: the vector is generic exactly when
     every ``median_counts`` entry is 0.  Median subsets are closed under

@@ -333,8 +333,11 @@ def test_cube_gap_is_one_irwin_hall_cdf(case):
     # U -> 1 - U on the other n - 1 bars gives T(n - 2 - p) =
     # C(n-1, p+2) P(IH_{n-1} <= p+1) and T(p + 1) = C(n-1, p) (1 - that)
     n, p = case
-    weight = math.comb(n - 1, p) - math.comb(n - 1, p + 2)
-    assert average_betti_exact(n, p, Measure.CUBE).gap == weight * irwin_hall_cdf(n - 1, p + 1)
+    below = irwin_hall_cdf(n - 1, p + 1)
+    report = average_betti_exact(n, p, Measure.CUBE)
+    low, high = math.comb(n - 1, p), math.comb(n - 1, p + 2)
+    assert report.class_sums == (low * (1 - below), high * below)
+    assert report.gap == (low - high) * below
 
 
 def test_cube_gap_vanishes_at_n_equal_2p_plus_3():

@@ -5,17 +5,20 @@ Core claims exercised here:
   * the CSV schema is stable, JSON round-trips to the same CSV bytes, and
     decimal columns agree with the rational columns to 12 significant digits;
   * exit codes separate malformed input (2) from domain violations (3), and
-    a slice too costly to sweep exits 3 within one second of CPU;
+    a slice too costly to sweep, or a betti count too large to hold, exits 3
+    within one second of CPU;
   * sampling runs are byte-identical for identical arguments, also across
     OpenBLAS thread counts in fresh interpreters;
   * --threads leaves exact output unchanged, and argparse refuses a count
     below 1 (exit 2) like any other malformed input;
-  * every command's table, csv and json bytes are pinned in cli_outputs.txt.
+  * every command's table, csv and json bytes are pinned in cli_outputs.txt,
+    and two cube tables near the ceiling by the sha256 of their csv bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -354,6 +357,44 @@ def test_slice_refuses_a_costly_sweep_within_a_cpu_second(values):
     )
     assert result.returncode == 3, result
     assert "slice cost limit" in result.stderr
+
+
+def test_betti_refuses_costly_subset_sums_within_a_cpu_second():
+    # 1/(2^q - 1) for 32 primes q near 6,644: 2,000-digit denominators,
+    # pairwise coprime as gcd(2^a - 1, 2^b - 1) = 2^gcd(a, b) - 1.  They
+    # rescale to 210,000-bit integers whose 98,304 half sums need about 3 GB;
+    # the child caps its own memory at 1 GiB and its CPU at one second, so
+    # running the count would end in MemoryError (exit 1) or SIGXCPU
+    primes = [q for q in range(6644, 7000) if all(q % d for d in range(2, 84))][:32]
+    script = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (1, 2))\n"
+        "sys.argv = ['linkage-betti', 'betti', '--lengths', sys.argv[1]]\n"
+        "runpy.run_module('linkage_betti', run_name='__main__', alter_sys=True)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, ",".join(f"1/{2**q - 1}" for q in primes)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert result.returncode == 3, result
+    assert "subset-sum limit" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "p, n_min, digest",
+    [
+        (0, 850, "d58a42e8532c110be07c9de61ac7d836484deab7e46582b28012fd2f59bb22da"),
+        (300, 880, "72bc72b0527685344add56cc1c50e11536a6018bd73fa17bc90a53220a5dd625"),
+    ],
+)
+def test_cube_tables_near_the_ceiling_keep_their_bytes(capsys, p, n_min, digest):
+    # sha256 of the csv bytes as two separate Irwin-Hall tails computed them;
+    # the rationals reach about 2,300 digits
+    code, out = run_cli(capsys, "convergence", "--p", str(p), "--n-min", str(n_min),
+                        "--n-max", "900", "--measure", "cube", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_table_format_is_aligned(capsys):

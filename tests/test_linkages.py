@@ -9,7 +9,8 @@ Core claims exercised here:
   * results are invariant under permutation, positive scaling, and the choice
     of maximal anchor;
   * genericity detection is exact and agrees with "no median counts";
-  * more than MAX_BARS bars are refused at once instead of hanging.
+  * more than MAX_BARS bars, or half sums past MAX_SUM_BITS bits, are
+    refused at once instead of hanging or running out of memory.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkage_betti import DomainError, LengthVector, betti, betti_profile, is_generic
+from linkage_betti import linkages
 from linkage_betti.linkages import MAX_BARS, _anchored_class_counts
 from oracles import brute_profile, gray_code_class_counts
 
@@ -308,6 +310,17 @@ def test_bar_count_ceiling_fails_fast():
         with pytest.raises(DomainError, match="limit"):
             call(lv)
     assert time.perf_counter() - start < 0.25
+
+
+def test_subset_sum_bits_ceiling_counts_the_half_sums(monkeypatch):
+    # a 3-bit total (3+1+1+1+1 = 7) times the 2^2 + 2^2 half sums of 4 bars
+    lv = LengthVector.of(3, 1, 1, 1, 1)
+    monkeypatch.setattr(linkages, "MAX_SUM_BITS", 24)
+    assert betti_profile(lv).values == (1, 0, 1)
+    monkeypatch.setattr(linkages, "MAX_SUM_BITS", 23)
+    for call in (betti_profile, is_generic):
+        with pytest.raises(DomainError, match="subset-sum limit"):
+            call(lv)
 
 
 def test_length_vector_validation():
