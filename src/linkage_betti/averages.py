@@ -81,8 +81,6 @@ from .simplexes import Measure
 if TYPE_CHECKING:
     import numpy as np
 
-    from .linkages import IndexSubset
-
 __all__ = [
     "EXACT_MAX_BARS",
     "MC_SETUP_BUDGET_BYTES",
@@ -105,20 +103,21 @@ __all__ = [
 EXACT_MAX_BARS = {Measure.SIMPLEX: 100, Measure.CUBE: 900}
 
 
-def subset_classes(n: int, p: int) -> tuple[Iterator[IndexSubset], Iterator[IndexSubset]]:
+def subset_classes(
+    n: int, p: int
+) -> tuple[Iterator[tuple[int, ...]], Iterator[tuple[int, ...]]]:
     """The two families of contributing subsets, each containing index 1.
 
-    Returns iterators over the subsets of cardinality p + 1 and n - 2 - p.
+    Returns iterators over the subsets of cardinality p + 1 and n - 2 - p, as
+    0/1 membership tuples of length n with entry 0 set for the anchor.
     At n = 2p + 3 the cardinalities coincide and both iterators yield the
     same family; callers sum both anyway, which is the intended doubling.
     """
-    from .linkages import IndexSubset
-
     check_degree(n, p)
 
-    def anchored(cardinality: int) -> Iterator[IndexSubset]:
-        for extra in itertools.combinations(range(2, n + 1), cardinality - 1):
-            yield IndexSubset.of((1,) + extra, n)
+    def anchored(cardinality: int) -> Iterator[tuple[int, ...]]:
+        for extra in itertools.combinations(range(1, n), cardinality - 1):
+            yield (1, *(int(i in extra) for i in range(1, n)))
 
     return anchored(p + 1), anchored(n - 2 - p)
 

@@ -33,13 +33,12 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, check_degree
 
 __all__ = [
     "LengthVector",
-    "IndexSubset",
     "BettiProfile",
     "is_generic",
     "betti",
@@ -99,36 +98,6 @@ class LengthVector(namedtuple("LengthVector", "lengths")):
         """
         common = math.lcm(*(l.denominator for l in self.lengths))
         return tuple(l.numerator * (common // l.denominator) for l in self.lengths)
-
-
-class IndexSubset:
-    """A subset of the 1-based bar index set {1, ..., n}."""
-
-    __slots__ = ("members", "n")
-
-    def __init__(self, members: frozenset[int], n: int) -> None:
-        if n < 0:
-            raise DomainError("ambient size must be nonnegative")
-        if any(not (1 <= i <= n) for i in members):
-            raise DomainError(f"members must lie in 1..{n}")
-        self.members = members
-        self.n = n
-
-    @classmethod
-    def of(cls, members: Iterable[int], n: int) -> "IndexSubset":
-        return cls(frozenset(members), n)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-    def complement(self) -> "IndexSubset":
-        return IndexSubset(frozenset(range(1, self.n + 1)) - self.members, self.n)
 
 
 class BettiProfile(NamedTuple):

@@ -76,11 +76,6 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def pool_size(workers: int, items: int) -> int:
-    """Threads for a pool over ``items`` work items: at most one per item and per CPU."""
-    return min(workers, items, os.cpu_count() or 1)
-
-
 def map_chunks(
     worker: Callable[[np.random.Generator, int], T],
     samples: int,
@@ -89,12 +84,12 @@ def map_chunks(
 ) -> list[T]:
     """Run ``worker(rng, count)`` over every chunk, in chunk order.
 
-    The pool has ``pool_size(workers, chunks)`` threads, however many
-    ``workers`` are asked for.
+    The pool has ``min(workers, chunks, os.cpu_count() or 1)`` threads,
+    however many ``workers`` are asked for.
     """
     _check_budget(samples, seed, workers)
     jobs = list(_chunks(samples))
-    size = pool_size(workers, len(jobs))
+    size = min(workers, len(jobs), os.cpu_count() or 1)
     if size == 1:
         return [worker(chunk_rng(seed, i), count) for i, count in jobs]
     from concurrent.futures import ThreadPoolExecutor

@@ -9,10 +9,12 @@ prefix vectors:
 * cube measure (iid uniform on [0, 1]): vertices are the prefix indicators
   (1, ..., 1, 0, ..., 0), i = 0..n.
 
-For a subset J of bar indices, the signed-sum functional (members minus
+A subset J of the bar indices {1..n} is given as a tuple of n 0/1 ints, entry
+i - 1 being 1 when bar i is in J.  J's signed-sum functional (members minus
 non-members) is linear, so on the sorted region it is pinned down by its
-values at these vertices.  Writing alpha_i = |J intersect {1..i}| / i for the
-running density of J, the value at vertex i >= 1 is
+values at these vertices.  Writing h_i = |J intersect {1..i}| for the running
+count of that tuple and alpha_i = h_i / i for J's running density, the value
+at vertex i >= 1 is
 
     2 * alpha_i - 1              (simplex measure, in [-1, 1]),
     i * (2 * alpha_i - 1)        (cube measure, an integer in [-i, i]),
@@ -26,12 +28,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from itertools import accumulate
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from .linkages import IndexSubset
 
 __all__ = ["Measure", "density_sequence", "functional_values"]
 
@@ -46,20 +45,14 @@ class Measure(enum.Enum):
         return self.value
 
 
-def density_sequence(subset: IndexSubset) -> tuple[Fraction, ...]:
-    """Exact running densities of a subset of {1..n}: alpha_i at index i - 1."""
-    if subset.n < 1:
+def density_sequence(subset: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Exact running densities of a 0/1 subset tuple: alpha_i at index i - 1."""
+    if not subset:
         raise DomainError("need a nonempty ambient index set")
-    hits = 0
-    alphas = []
-    for i in range(1, subset.n + 1):
-        if i in subset:
-            hits += 1
-        alphas.append(Fraction(hits, i))
-    return tuple(alphas)
+    return tuple(map(Fraction, accumulate(subset), range(1, len(subset) + 1)))
 
 
-def functional_values(subset: IndexSubset, measure: Measure) -> tuple[Fraction, ...]:
+def functional_values(subset: tuple[int, ...], measure: Measure) -> tuple[Fraction, ...]:
     """Values of the subset's signed-sum functional at the n+1 region vertices, exactly.
 
     With h_i = |J intersect {1..i}|, the value at vertex i >= 1 (index i of
@@ -67,15 +60,9 @@ def functional_values(subset: IndexSubset, measure: Measure) -> tuple[Fraction, 
     the cube measure; vertex 0 gives 0 in both.  Taking the complement of
     the subset negates every value.
     """
-    if subset.n < 1:
+    if not subset:
         raise DomainError("need a nonempty ambient index set")
-    values = [Fraction(0)]
-    hits = 0
-    for i in range(1, subset.n + 1):
-        if i in subset:
-            hits += 1
-        if measure is Measure.SIMPLEX:
-            values.append(Fraction(2 * hits - i, i))
-        else:
-            values.append(Fraction(2 * hits - i))
-    return tuple(values)
+    hits = enumerate(accumulate(subset), 1)
+    if measure is Measure.SIMPLEX:
+        return (Fraction(0), *(Fraction(2 * h - i, i) for i, h in hits))
+    return (Fraction(0), *(Fraction(2 * h - i) for i, h in hits))

@@ -1,10 +1,10 @@
 """Structural bounds on density and vertex-value sequences of small subsets.
 
-For a subset J of {1..n} with |J| = p >= 1, the running densities alpha_i and
-the two vertex-value sequences obey sharp combinatorial bounds (the engine's
-decay analysis rests on them).  Each checker raises AssertionError with
-context on the first violation; both the module tests and the acceptance
-suite drive them over seeded random corpora.
+For a subset J of {1..n} with |J| = p >= 1, given as a 0/1 membership tuple,
+the running densities alpha_i and the two vertex-value sequences obey sharp
+combinatorial bounds (the engine's decay analysis rests on them).  Each
+checker raises AssertionError with context on the first violation; both the
+module tests and the acceptance suite drive them over seeded random corpora.
 
 One clarification is baked in: the value 0 occurs in the simplex-flavor
 sequence q_0..q_n up to p + 1 times (q_0 = 0 always, plus up to p interior
@@ -19,13 +19,13 @@ from collections import Counter
 from fractions import Fraction
 
 from linkage_betti import Measure
-from linkage_betti.linkages import IndexSubset
 from linkage_betti.simplexes import density_sequence, functional_values
 
 
-def check_density_bounds(subset: IndexSubset) -> None:
-    n = subset.n
-    p = len(subset)
+def check_density_bounds(subset: tuple[int, ...]) -> None:
+    n = len(subset)
+    p = sum(subset)
+    listed = [i for i, f in enumerate(subset, 1) if f]
     assert p >= 1, "checks apply to nonempty subsets"
     alphas = density_sequence(subset)
     half = Fraction(1, 2)
@@ -35,9 +35,9 @@ def check_density_bounds(subset: IndexSubset) -> None:
         if i < 1:
             continue
         a = alphas[i - 1]
-        assert a <= half, f"alpha_{i}={a} > 1/2 for {sorted(subset)}"
+        assert a <= half, f"alpha_{i}={a} > 1/2 for {listed}"
         if i > 2 * p:
-            assert a < half, f"alpha_{i}={a} = 1/2 past i=2p for {sorted(subset)}"
+            assert a < half, f"alpha_{i}={a} = 1/2 past i=2p for {listed}"
 
     # early separation: distinct densities up to index 2p differ by >= 1/(2p)^2
     sep = Fraction(1, (2 * p) ** 2)
@@ -46,34 +46,35 @@ def check_density_bounds(subset: IndexSubset) -> None:
         for b in early[i + 1 :]:
             if a != b:
                 assert abs(a - b) >= sep, (
-                    f"early densities {a},{b} closer than {sep} for {sorted(subset)}"
+                    f"early densities {a},{b} closer than {sep} for {listed}"
                 )
 
     # strict-below-half quantization
     drop = half - Fraction(1, 2 * (2 * p + 1))
     for i, a in enumerate(alphas, start=1):
         if a < half:
-            assert a <= drop, f"alpha_{i}={a} in the forbidden band for {sorted(subset)}"
+            assert a <= drop, f"alpha_{i}={a} in the forbidden band for {listed}"
 
     # deep tail decay
     for i in range(8 * p**3, n + 1):
         if i < 1:
             continue
         assert alphas[i - 1] <= Fraction(1, 8 * p**2), (
-            f"alpha_{i}={alphas[i-1]} too large in the tail for {sorted(subset)}"
+            f"alpha_{i}={alphas[i-1]} too large in the tail for {listed}"
         )
 
     # nonzero density values repeat at most p times
     counts = Counter(a for a in alphas if a != 0)
     for value, count in counts.items():
         assert count <= p, (
-            f"density value {value} appears {count} > {p} times for {sorted(subset)}"
+            f"density value {value} appears {count} > {p} times for {listed}"
         )
 
 
-def check_simplex_values(subset: IndexSubset) -> None:
-    n = subset.n
-    p = len(subset)
+def check_simplex_values(subset: tuple[int, ...]) -> None:
+    n = len(subset)
+    p = sum(subset)
+    listed = [i for i, f in enumerate(subset, 1) if f]
     assert p >= 1
     values = functional_values(subset, Measure.SIMPLEX)
 
@@ -84,9 +85,9 @@ def check_simplex_values(subset: IndexSubset) -> None:
     for i in range(2 * p, n + 1):
         if i < 1:
             continue
-        assert values[i] <= 0, f"q_{i}={values[i]} > 0 for {sorted(subset)}"
+        assert values[i] <= 0, f"q_{i}={values[i]} > 0 for {listed}"
         if i > 2 * p:
-            assert values[i] < 0, f"q_{i}=0 past i=2p for {sorted(subset)}"
+            assert values[i] < 0, f"q_{i}=0 past i=2p for {listed}"
 
     # early separation, doubled from the density bound
     sep = Fraction(1, 2 * p**2)
@@ -95,7 +96,7 @@ def check_simplex_values(subset: IndexSubset) -> None:
         for b in early[i + 1 :]:
             if a != b:
                 assert abs(a - b) >= sep, (
-                    f"early values {a},{b} closer than {sep} for {sorted(subset)}"
+                    f"early values {a},{b} closer than {sep} for {listed}"
                 )
 
     # negative values are uniformly below zero
@@ -103,7 +104,7 @@ def check_simplex_values(subset: IndexSubset) -> None:
     for i in range(1, n + 1):
         if values[i] < 0:
             assert values[i] <= floor, (
-                f"q_{i}={values[i]} negative but above {floor} for {sorted(subset)}"
+                f"q_{i}={values[i]} negative but above {floor} for {listed}"
             )
 
     # deep tail: values collapse toward -1
@@ -111,7 +112,7 @@ def check_simplex_values(subset: IndexSubset) -> None:
         if i < 1:
             continue
         assert values[i] <= -1 + Fraction(1, 4 * p**2), (
-            f"q_{i}={values[i]} too large in the tail for {sorted(subset)}"
+            f"q_{i}={values[i]} too large in the tail for {listed}"
         )
 
     # multiplicities: away from -1, at most p interior occurrences; including
@@ -120,7 +121,7 @@ def check_simplex_values(subset: IndexSubset) -> None:
     for value, count in interior.items():
         if value != -1:
             assert count <= p, (
-                f"value {value} appears {count} > {p} times interior for {sorted(subset)}"
+                f"value {value} appears {count} > {p} times interior for {listed}"
             )
     full = Counter(values)
     for value, count in full.items():
@@ -128,33 +129,34 @@ def check_simplex_values(subset: IndexSubset) -> None:
             continue
         bound = p + 1 if value == 0 else p
         assert count <= bound, (
-            f"value {value} appears {count} > {bound} times overall for {sorted(subset)}"
+            f"value {value} appears {count} > {bound} times overall for {listed}"
         )
 
 
-def check_cube_values(subset: IndexSubset) -> None:
-    n = subset.n
-    p = len(subset)
+def check_cube_values(subset: tuple[int, ...]) -> None:
+    n = len(subset)
+    p = sum(subset)
+    listed = [i for i, f in enumerate(subset, 1) if f]
     assert p >= 1
     values = functional_values(subset, Measure.CUBE)
 
     assert values[0] == 0
     for i, q in enumerate(values):
-        assert q.denominator == 1, f"q'_{i}={q} not an integer for {sorted(subset)}"
-        assert abs(q) <= i, f"|q'_{i}|={q} exceeds {i} for {sorted(subset)}"
+        assert q.denominator == 1, f"q'_{i}={q} not an integer for {listed}"
+        assert abs(q) <= i, f"|q'_{i}|={q} exceeds {i} for {listed}"
 
     # unit steps, with exactly p up-steps in total
     steps = [values[i + 1] - values[i] for i in range(n)]
-    assert all(abs(s) == 1 for s in steps), f"non-unit step for {sorted(subset)}"
-    assert sum(1 for s in steps if s == 1) == p, f"up-step count != p for {sorted(subset)}"
+    assert all(abs(s) == 1 for s in steps), f"non-unit step for {listed}"
+    assert sum(1 for s in steps if s == 1) == p, f"up-step count != p for {listed}"
 
     # sign: nonpositive from index 2p on, strictly negative after
     for i in range(2 * p, n + 1):
         if i < 1:
             continue
-        assert values[i] <= 0, f"q'_{i}={values[i]} > 0 for {sorted(subset)}"
+        assert values[i] <= 0, f"q'_{i}={values[i]} > 0 for {listed}"
         if i > 2 * p:
-            assert values[i] < 0, f"q'_{i}=0 past i=2p for {sorted(subset)}"
+            assert values[i] < 0, f"q'_{i}=0 past i=2p for {listed}"
 
     # integers: distinct values differ by >= 1, negatives are <= -1
     distinct = sorted(set(values))
@@ -168,11 +170,11 @@ def check_cube_values(subset: IndexSubset) -> None:
     counts = Counter(values)
     for value, count in counts.items():
         assert count <= p + 1, (
-            f"value {value} appears {count} > {p + 1} times for {sorted(subset)}"
+            f"value {value} appears {count} > {p + 1} times for {listed}"
         )
 
 
-def check_all(subset: IndexSubset) -> None:
+def check_all(subset: tuple[int, ...]) -> None:
     check_density_bounds(subset)
     check_simplex_values(subset)
     check_cube_values(subset)

@@ -21,7 +21,7 @@ tiled kernel of ``average_betti_mc`` replaced: 128-subset blocks, each summed
 over a whole chunk at once.  ``mc_slice_ratio`` estimates a slice ratio by
 sampling the simplex in the package's seeded chunks.  The vertex helpers
 spell out the sorted-region picture that ``simplexes.functional_values``
-condenses.
+condenses, and ``members`` builds the 0/1 subset tuples it takes.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from linkage_betti import DomainError, Measure, MonteCarloEstimate, slice_ratio
-from linkage_betti.linkages import IndexSubset
 from linkage_betti.sampling import map_chunks, sample_unit_simplex
 from linkage_betti.simplexes import functional_values
 
@@ -199,14 +198,20 @@ def enumerated_class_sums(n: int, p: int, measure: Measure) -> tuple[Fraction, F
     return class_sum(p + 1), class_sum(n - 2 - p)
 
 
-def subset_volume_term(subset: IndexSubset, measure: Measure) -> Fraction:
+def members(indices: Iterable[int], n: int) -> tuple[int, ...]:
+    """The 0/1 membership tuple of a subset of {1..n}: entry i - 1 is 1 when i is in it."""
+    chosen = set(indices)
+    return tuple(int(i in chosen) for i in range(1, n + 1))
+
+
+def subset_volume_term(subset: tuple[int, ...], measure: Measure) -> Fraction:
     """Sorted-region volume fraction on which the subset is short.
 
     This is the probability, under the given measure conditioned on the
     decreasing arrangement, that the bars in J sum to less than the rest;
     equivalently the negative-side slice ratio of J's signed-sum functional.
     """
-    if len(subset) == 0:
+    if not any(subset):
         raise DomainError("the subset must be nonempty")
     return slice_ratio(functional_values(subset, measure))
 

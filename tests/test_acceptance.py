@@ -52,12 +52,12 @@ from linkage_betti import (
     slice_cdf,
     slice_ratio,
 )
-from linkage_betti.linkages import IndexSubset
 
 from lemma_checks import check_all
 from oracles import (
     distinct_slice_ratio,
     mc_slice_ratio,
+    members,
     triangle_negative_fraction,
     weak_composition_slice_ratio,
 )
@@ -257,7 +257,7 @@ def test_criterion_8_lemma_property_suite():
         for _ in range(1000):
             n = rnd.randint(1, 40)
             size = rnd.randint(1, min(6, n))
-            check_all(IndexSubset.of(rnd.sample(range(1, n + 1), size), n))
+            check_all(members(rnd.sample(range(1, n + 1), size), n))
 
 
 def test_criterion_9_cut_distribution_function():

@@ -48,7 +48,7 @@ PUBLIC = {
 }
 
 MODULE_ONLY = {
-    "linkages": ("IndexSubset", "max_length_index"),
+    "linkages": ("max_length_index",),
     "simplexes": ("density_sequence", "functional_values"),
     "slicing": ("group_values",),
     "averages": ("subset_classes",),

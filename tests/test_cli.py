@@ -5,8 +5,9 @@ Core claims exercised here:
   * the CSV schema is stable, JSON round-trips to the same CSV bytes, and
     decimal columns agree with the rational columns to 12 significant digits;
   * exit codes separate malformed input (2) from domain violations (3), and
-    a slice too costly to sweep, or a betti count too large to hold, exits 3
-    within one second of CPU;
+    every cost ceiling (slice sweep, betti subset count and sums, exact bar
+    counts, Monte Carlo set-up and budget) exits 3 in a child held to one
+    second of CPU and 1 GiB of address space;
   * sampling runs are byte-identical for identical arguments, also across
     OpenBLAS thread counts in fresh interpreters;
   * --threads leaves exact output unchanged, and argparse refuses a count
@@ -34,6 +35,7 @@ from linkage_betti.averages import EXACT_MAX_BARS, convergence_table
 from linkage_betti.cli import main
 from linkage_betti.errors import DomainError
 from linkage_betti.linkages import MAX_BARS
+from linkage_betti.sampling import MC_MAX_SAMPLES
 from linkage_betti.simplexes import Measure
 
 
@@ -333,52 +335,65 @@ def test_slice_of_many_repeated_values_is_fast_and_exact(capsys):
     assert elapsed < 2.0, elapsed
 
 
-@pytest.mark.parametrize(
-    "values",
-    [
-        list(range(-799, 801)),
-        [-1] * 1067 + [1] * 1067 + [2] * 1066,
-        [(-1) ** k * (10**999 + k) for k in range(50)],
-    ],
-    ids=["1600-distinct", "3200-in-three-groups", "50-of-1000-digits"],
-)
-def test_slice_refuses_a_costly_sweep_within_a_cpu_second(values):
-    # each took 10-25 s of CPU before the cost check; the child limits its
-    # own CPU to one second, past which SIGXCPU ends it without exit code 3
-    script = (
-        "import resource, runpy, sys\n"
-        "resource.setrlimit(resource.RLIMIT_CPU, (1, 2))\n"
-        "sys.argv = ['linkage-betti', 'slice', '--q', sys.argv[1]]\n"
-        "runpy.run_module('linkage_betti', run_name='__main__', alter_sys=True)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script, ",".join(map(str, values))],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
-    assert result.returncode == 3, result
-    assert "slice cost limit" in result.stderr
-
-
-def test_betti_refuses_costly_subset_sums_within_a_cpu_second():
+def _costly_subset_sums() -> str:
     # 1/(2^q - 1) for 32 primes q near 6,644: 2,000-digit denominators,
     # pairwise coprime as gcd(2^a - 1, 2^b - 1) = 2^gcd(a, b) - 1.  They
-    # rescale to 210,000-bit integers whose 98,304 half sums need about 3 GB;
-    # the child caps its own memory at 1 GiB and its CPU at one second, so
-    # running the count would end in MemoryError (exit 1) or SIGXCPU
+    # rescale to 210,000-bit integers whose 98,304 half sums need about 3 GB
     primes = [q for q in range(6644, 7000) if all(q % d for d in range(2, 84))][:32]
+    return ",".join(f"1/{2**q - 1}" for q in primes)
+
+
+def _slice(values) -> tuple[str, ...]:
+    return ("slice", "--q", ",".join(map(str, values)))
+
+
+COST_CEILINGS = {
+    "slice-1600-distinct": (_slice(range(-799, 801)), "slice cost limit"),
+    "slice-3200-in-three-groups": (
+        _slice([-1] * 1067 + [1] * 1067 + [2] * 1066), "slice cost limit"),
+    "slice-50-of-1000-digits": (
+        _slice((-1) ** k * (10**999 + k) for k in range(50)), "slice cost limit"),
+    "betti-32-of-2000-digits": (
+        ("betti", "--lengths", _costly_subset_sums()), "subset-sum limit"),
+    "betti-past-max-bars": (
+        ("betti", "--lengths", ",".join(["1"] * (MAX_BARS + 1))), "subset-count limit"),
+    "average-past-simplex-ceiling": (
+        ("average", "--n", str(EXACT_MAX_BARS[Measure.SIMPLEX] + 1), "--p", "0",
+         "--measure", "simplex"), "simplex expectations take at most"),
+    "convergence-past-cube-ceiling": (
+        ("convergence", "--p", "0", "--n-min", "3",
+         "--n-max", str(EXACT_MAX_BARS[Measure.CUBE] + 1), "--measure", "cube"),
+        "cube expectations take at most"),
+    "sample-past-pick-budget": (
+        ("sample", "--n", "30", "--p", "13", "--measure", "cube", "--samples", "1"),
+        "MiB budget"),
+    "sample-past-max-samples": (
+        ("sample", "--n", "5", "--p", "0", "--measure", "cube",
+         "--samples", str(MC_MAX_SAMPLES + 1)), "exceed the limit"),
+}
+
+
+@pytest.mark.parametrize("case", COST_CEILINGS)
+def test_cost_ceilings_refuse_within_a_cpu_second_and_a_gib(case):
+    argv, fragment = COST_CEILINGS[case]
+    # the slices took 10-25 s of CPU before their cost check, and the betti
+    # count of 2,000-digit lengths would need about 3 GB.  The child caps its
+    # own CPU at one second and its address space at 1 GiB, so running past a
+    # ceiling would end in SIGXCPU or MemoryError, without exit code 3.  The
+    # sample cases are refused before numpy loads
     script = (
         "import resource, runpy, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
         "resource.setrlimit(resource.RLIMIT_CPU, (1, 2))\n"
-        "sys.argv = ['linkage-betti', 'betti', '--lengths', sys.argv[1]]\n"
+        "sys.argv = ['linkage-betti', *sys.argv[1:]]\n"
         "runpy.run_module('linkage_betti', run_name='__main__', alter_sys=True)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, ",".join(f"1/{2**q - 1}" for q in primes)],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert result.returncode == 3, result
-    assert "subset-sum limit" in result.stderr
+    assert fragment in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkage_betti import DomainError, Measure, slice_cdf, slice_ratio
-from linkage_betti.linkages import IndexSubset
 from linkage_betti.simplexes import functional_values
 from linkage_betti.slicing import (
     _cached_ratio,
@@ -37,6 +36,7 @@ from linkage_betti.slicing import (
 from oracles import (
     confluent_factor,
     distinct_slice_ratio,
+    members,
     segment_negative_fraction,
     triangle_negative_fraction,
     weak_composition_slice_ratio,
@@ -286,7 +286,7 @@ def test_dispatcher_routes_agree():
     rnd = random.Random(113)
     for _ in range(100):
         n = rnd.randint(2, 9)
-        subset = IndexSubset.of(
+        subset = members(
             {i for i in range(1, n + 1) if rnd.random() < 0.5} or {1}, n
         )
         for measure in Measure:

@@ -8,11 +8,14 @@ submodule, and each command loads its own engine and the standard modules
 it renders with, not the others'.  Each check runs in a fresh interpreter,
 where ``sys.modules`` and ``/proc/self/status`` show exactly what the package
 and one command started.  No command loads ``dataclasses``, and only
-``sample``, through numpy, loads ``inspect``.
+``sample``, through numpy, loads ``inspect``.  None of ``averages``,
+``simplexes``, ``slicing``, ``sampling`` and ``errors`` imports ``linkages``
+anywhere in its syntax tree, so the expectation engines cannot come to load it.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -167,6 +170,22 @@ def test_no_command_loads_dataclasses_and_only_sample_loads_inspect(argv):
 def test_expectations_load_neither_linkages_nor_slicing(argv):
     watched = ("linkage_betti.linkages", "linkage_betti.slicing", "linkage_betti.averages")
     assert _loaded_after(_command(*argv), watched) == {"linkage_betti.averages"}
+
+
+def test_no_engine_module_imports_linkages():
+    # ast.walk also reaches TYPE_CHECKING blocks and function bodies
+    offenders = {}
+    for module in ("averages", "simplexes", "slicing", "sampling", "errors"):
+        tree = ast.parse((SRC / "linkage_betti" / f"{module}.py").read_text(encoding="ascii"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        offenders[module] = [name for name in imported if "linkages" in name.split(".")]
+    assert not any(offenders.values()), offenders
 
 
 def test_sample_loads_numpy():
