@@ -46,19 +46,21 @@ the k - 1 other members of J and B the n - k non-members.
   Each (a, b) term, r = (1+a-b)/(2+2a) or (b-1-a)/(2b), is one integer loop.
 
 The exact path is rational arithmetic end to end and starts no threads; its
-cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path
-samples length vectors and counts each one's short subsets in L2-sized row
-tiles of a 0/1 pick matrix product: J is short when fl(a + s) < h, a the
-anchor, s the float sum of J's other members, h half the total.  Rounding to
-nearest is monotone, so for floats s >= 0 that holds exactly when s < t, the
-least float t >= 0 with fl(a + t) >= h; that one cut per sample (not
-fl(h - a), wrong at near-ties) decides every sum the product returns as
-fl(a + s) < h would.  Those sums follow OpenBLAS's grouping for each tile
-shape: a one-row tile is a matrix-vector product, and tiles of other row
-counts round some sums differently, so the regression pins, not this
-argument, guard a change of ``_TILE_BYTES``.  Only that path uses numpy,
-so ``_pick_matrix`` and ``average_betti_mc`` import it when they run; the
-exact path and the CLI commands built on it never load numpy.
+cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path draws
+and sorts each chunk's length vectors in blocks of whole row tiles
+(``_BLOCK_ROWS`` rows or one tile), each draw continuing the chunk's stream,
+and counts short subsets in L2-sized row tiles of a 0/1 pick matrix product:
+J is short when fl(a + s) < h, a the anchor, s the float sum of J's other
+members, h half the total.  Rounding to nearest is monotone, so for floats
+s >= 0 that holds exactly when s < t, the least float t >= 0 with
+fl(a + t) >= h; that one cut per sample (not fl(h - a), wrong at near-ties)
+decides every sum the product returns as fl(a + s) < h would.  Those sums
+follow OpenBLAS's grouping for each tile shape: a one-row tile is a
+matrix-vector product, and tiles of other row counts round some sums
+differently, so the regression pins, not this argument, guard a change of
+``_TILE_BYTES``.  Only that path uses numpy, so ``_pick_matrix`` and
+``average_betti_mc`` import it when they run; the exact path and the CLI
+commands built on it never load numpy.
 """
 
 from __future__ import annotations
@@ -267,6 +269,8 @@ MC_SETUP_BUDGET_BYTES = 2**26
 
 # Bytes of float64 sums in one row tile, sized so that they stay in L2.
 _TILE_BYTES = 2**19
+# Rows drawn, sorted and counted at a time, rounded down to whole tiles.
+_BLOCK_ROWS = 4096
 
 
 def _pick_matrix(n: int, p: int) -> np.ndarray:
@@ -341,24 +345,29 @@ def average_betti_mc(
 
     sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
     tile = max(1, _TILE_BYTES // (8 * picks.shape[1]))
+    block = tile * max(1, _BLOCK_ROWS // tile)
 
     def worker(rng: np.random.Generator, count: int) -> tuple[int, int]:
-        points = sampler(rng, count, n)
-        points = -np.sort(-points, axis=1)
-        half = points.sum(axis=1) * 0.5
-        # 4,096 rows at a time: small work arrays stay in cache, off the peak RSS
-        cut = np.concatenate([_exact_cut(points[i:i + 4096, 0], half[i:i + 4096])
-                              for i in range(0, count, 4096)])[:, None]
         sums = np.empty((min(tile, count), picks.shape[1]))
         short = np.empty(sums.shape, dtype=bool)
-        per_sample = np.empty(count, dtype=np.int64)
-        for start in range(0, count, tile):
-            m = min(tile, count - start)
-            rows = slice(start, start + m)
-            np.matmul(points[rows, 1:], picks, out=sums[:m])
-            np.less(sums[:m], cut[rows], out=short[:m])
-            per_sample[rows] = np.add.reduce(short[:m].view(np.uint8), axis=1, dtype=np.uint32)
-        return int(per_sample.sum()), int(np.dot(per_sample, per_sample))
+        total = total_sq = 0
+        for first in range(0, count, block):
+            size = min(block, count - first)
+            points = sampler(rng, size, n)  # block draws continue the chunk's stream
+            np.negative(points, out=points)
+            points.sort(axis=1)
+            np.negative(points, out=points)
+            cut = _exact_cut(points[:, 0], points.sum(axis=1) * 0.5)[:, None]
+            per_sample = np.empty(size, dtype=np.int64)
+            for start in range(0, size, tile):
+                m = min(tile, size - start)
+                rows = slice(start, start + m)
+                np.matmul(points[rows, 1:], picks, out=sums[:m])
+                np.less(sums[:m], cut[rows], out=short[:m])
+                per_sample[rows] = np.add.reduce(short[:m].view(np.uint8), axis=1, dtype=np.uint32)
+            total += int(per_sample.sum())
+            total_sq += int(np.dot(per_sample, per_sample))
+        return total, total_sq
 
     parts = map_chunks(worker, samples, seed, workers)
     total = sum(part[0] for part in parts)

@@ -106,7 +106,8 @@ def sample_unit_simplex(rng: np.random.Generator, count: int, n: int) -> np.ndar
     probability zero and are ignored downstream.
     """
     gaps = rng.standard_exponential((count, n))
-    return gaps / gaps.sum(axis=1, keepdims=True)
+    gaps /= gaps.sum(axis=1, keepdims=True)
+    return gaps
 
 
 def sample_unit_cube(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -23,7 +23,8 @@ Core claims exercised here:
   * size ceilings refuse oversized exact and Monte Carlo requests at once;
   * the tiled Monte Carlo count reproduces pinned estimates and the earlier
     blockwise kernel of ``tests/oracles.py`` exactly, chunk stream by chunk
-    stream, within bounded allocation peaks.
+    stream, hands BLAS each chunk's own row tiles while it streams the chunk
+    in blocks, and stays within bounded allocation peaks.
 """
 
 from __future__ import annotations
@@ -419,9 +420,13 @@ def test_mc_regression_pins():
         (7, 0, Measure.CUBE, 3000),
         (9, 3, Measure.SIMPLEX, 3000),
         (21, 9, Measure.SIMPLEX, 5),
+        # one tile is longer than a block of rows: 15 columns, 4,369-row tiles
+        (6, 1, Measure.CUBE, 10_000),
+        # one block of 49 82-row tiles, one whole tile, then a one-row tile
+        (12, 4, Measure.SIMPLEX, 49 * 82 + 82 + 1),
     ],
 )
-def test_mc_matches_the_blockwise_oracle(n, p, measure, samples):
+def test_mc_matches_the_blockwise_oracle(n, p, measure, samples, monkeypatch):
     seed = 17
     sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
     total = total_sq = 0
@@ -436,11 +441,30 @@ def test_mc_matches_the_blockwise_oracle(n, p, measure, samples):
         samples=samples,
         seed=seed,
     )
+    matmul, operands = np.matmul, []
+
+    def recording_matmul(rows, picks, out):
+        operands.append((rows.shape, rows.strides))
+        return matmul(rows, picks, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
     assert average_betti_mc(n, p, measure, samples, seed) == expected
+    # BLAS rounds by tile shape, so blocks keep every tile of the whole chunk:
+    # same rows, each a view with row stride n
+    columns = math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
+    tile = max(1, averages._TILE_BYTES // (8 * columns))
+    assert operands == [
+        ((min(tile, count - start), n - 1), (8 * n, 8))
+        for _, count in _chunks(samples)
+        for start in range(0, count, tile)
+    ]
     if n == 21:
         # one subset-sum row fills a tile, so each tile is a single sample
-        columns = math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
         assert averages._TILE_BYTES // (8 * columns) == 0
+    if n == 6:
+        assert tile == 4369 > averages._BLOCK_ROWS
+    if samples == 49 * 82 + 82 + 1:
+        assert tile * (averages._BLOCK_ROWS // tile) == 49 * 82
 
 
 _FINITE = dict(allow_nan=False, allow_infinity=False)
@@ -482,20 +506,23 @@ def test_exact_cut_splits_the_sums_like_the_rounded_sum(cases, data):
         assert (a + x < h) == (x < t)
 
 
-def _allocation_peak(*args) -> int:
+def _allocation_peak(*args, **kwargs) -> int:
     average_betti_mc(6, 1, Measure.SIMPLEX, 10, 0)  # numpy imported and warm
     tracemalloc.start()
     try:
-        average_betti_mc(*args)
+        average_betti_mc(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_mc_allocation_peaks():
-    # one whole chunk of the benchmark's simplex case; the blockwise kernel
-    # peaked at 99.7 MiB, three chunk-sized float64 arrays per block
-    assert _allocation_peak(12, 4, Measure.SIMPLEX, CHUNK_SIZE, 0) < 32 * 2**20
+    # one whole chunk of the benchmark's simplex case (1.5 MiB): one block of
+    # rows is live, not the chunk (a whole sorted chunk peaked at 9.07 MiB)
+    assert _allocation_peak(12, 4, Measure.SIMPLEX, CHUNK_SIZE, 0) < 4 * 2**20
+    # the benchmark's cube case on two threads, one block each (3.7 MiB)
+    peak = _allocation_peak(14, 3, Measure.CUBE, 4 * CHUNK_SIZE, 0, workers=2)
+    assert peak < 8 * 2**20
     # set-up dominated: the blockwise kernel peaked at 35.36 MiB here
     assert _allocation_peak(20, 8, Measure.SIMPLEX, 64, 0) <= 35.36 * 2**20
 

@@ -5,6 +5,9 @@ Core claims exercised here:
   * the slice estimator is unbiased against exact ratios at 3 standard errors;
   * results depend only on (seed, samples): reruns and different worker counts
     are bit-identical, including across chunk boundaries;
+  * drawing a chunk's rows in consecutive blocks gives the whole draw bit for
+    bit (a ``hypothesis`` property test), which the blockwise Monte Carlo
+    count rests on;
   * degenerate cases (certain events, single samples) behave as documented;
   * thread pools hold at most one thread per work item and per CPU, and the
     exact path starts none.
@@ -20,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkage_betti import DomainError, Measure, average_betti_exact, slice_ratio
 from linkage_betti.sampling import (
@@ -91,6 +96,21 @@ def test_chunk_rng_streams_are_stable():
     c = chunk_rng(5, 1).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 21),
+    seed=st.integers(0, 2**32),
+    index=st.integers(0, 2**15),
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+)
+def test_consecutive_block_draws_continue_one_stream(n, seed, index, sizes):
+    for sampler in (sample_unit_simplex, sample_unit_cube):
+        whole = sampler(chunk_rng(seed, index), sum(sizes), n)
+        rng = chunk_rng(seed, index)
+        blocks = np.concatenate([sampler(rng, size, n) for size in sizes])
+        assert blocks.tobytes() == whole.tobytes()
 
 
 def test_map_chunks_covers_budget_in_order():
