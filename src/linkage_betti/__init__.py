@@ -9,8 +9,8 @@ The library has three layers:
   geometric picture that the averages' closed forms condense;
 * :mod:`linkage_betti.averages` computes exact expected Betti numbers under
   two random-length models from closed forms (an integer sum over races of
-  Gamma sums for the uniform law on the probability simplex, an Irwin-Hall
-  tail for iid uniform lengths on the cube) and cross-checks them by seeded
+  Gamma sums for the uniform law on the probability simplex, one Irwin-Hall
+  CDF for iid uniform lengths on the cube) and cross-checks them by seeded
   Monte Carlo (:mod:`linkage_betti.sampling`).
 
 ``__all__`` holds the names a caller computes with.  Each is importable from
@@ -28,7 +28,7 @@ _EXPORTS = {
     "errors": ("DomainError",),
     "linkages": ("LengthVector", "BettiProfile", "betti_profile", "betti", "is_generic"),
     "simplexes": ("Measure",),
-    "slicing": ("slice_ratio", "slice_cdf"),
+    "slicing": ("slice_ratio",),
     "sampling": ("MonteCarloEstimate",),
     "averages": (
         "AverageReport",

@@ -277,6 +277,14 @@ def _pick_matrix(n: int, p: int) -> np.ndarray:
     """0/1 matrix, n - 1 by S, with one column per contributing subset that
     marks its members among the n - 1 bars after the anchor.  Refused with
     DomainError, before numpy loads, above ``MC_SETUP_BUDGET_BYTES``."""
+    # p = 0 and p = n - 3 are the cheapest degrees, past the budget from 258
+    # bars on; refusing there on n alone spares C(n - 1, p) at large n
+    cheapest = (1 + (n - 1) * (n - 2) // 2) * (n - 1) * 8
+    if cheapest > MC_SETUP_BUDGET_BYTES:
+        raise DomainError(
+            f"Monte Carlo at n={n}, p={p} needs subset rows above the "
+            f"{MC_SETUP_BUDGET_BYTES // 2**20} MiB budget, as every degree at {n} bars does"
+        )
     sizes = (p, n - 3 - p)
     counts = [math.comb(n - 1, size) for size in sizes]
     need = sum(counts) * (n - 1) * 8

@@ -10,10 +10,11 @@ Subcommands:
 
 Every command takes ``--format table|csv|json``.  Rational results are exact
 "a/b" strings and stay authoritative; decimal columns are 12-significant-digit
-conveniences.  Exit codes: 0 success, 2 malformed input (including a number
-with more digits than Python prints, and a ``--threads`` count below 1), both
-reported by argparse, 3 domain violations (valid input outside an
-operation's mathematical range, or a result too long to print).
+conveniences.  Exit codes: 0 success, 1 stdout closed by its reader before
+the output was written, 2 malformed input (including a number with more
+digits than Python prints, and a ``--threads`` count below 1), both reported
+by argparse, 3 domain violations (valid input outside an operation's
+mathematical range, or a result too long to print).
 """
 
 from __future__ import annotations
@@ -407,7 +408,14 @@ def main(argv: list[str] | None = None) -> int:
     meta: dict[str, str | int] = {"command": args.command, "version": __version__}
     if args.command == "sample":
         meta["seed"] = args.seed
-    print(_RENDERERS[args.format](columns, rows, meta))
+    try:
+        print(_RENDERERS[args.format](columns, rows, meta))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head``); pointing stdout at devnull keeps
+        # the flush at shutdown from raising again (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -28,17 +28,16 @@ prod_{j != i} q_i / (q_i - q_j).  A zero value sits on the cut and is never
 a pole of the sum, but it counts in n and enters every other pole's
 expansion like any Q_j.
 
-Two measured choices sit around the kernel.  The dispatcher evaluates
-whichever side of the cut has fewer distinct values and complements, since
-the fractions of the two open sides add to 1; on the vertex values of every
-anchored subset at n=14 (simplex) and n=16 (cube), the benchmark's slice
-corpora, evaluating the negative side alone costs 1.4-1.6x as much.  An LRU
-cache keys on the pair (distinct values, multiplicities) that
-``group_values`` returns.  No code in the package repeats a kernel
-call any more: neither exact expectation in ``averages`` calls the kernel,
-and the ``slice`` command makes one call per process.  The cache stays
-because the benchmark reads its ``cache_info()``.  All arithmetic is exact
-rational arithmetic.
+``slice_ratio`` is the one door into the kernel: it groups the values and
+looks the pair (distinct values, multiplicities) up in one LRU-cached
+function, which sums whichever side of the cut has fewer distinct values and
+complements, since the fractions of the two open sides add to 1.  On the
+vertex values of every anchored subset at n=14 (simplex) and n=16 (cube),
+the benchmark's slice corpora, summing the negative side alone costs
+1.4-1.6x as much.  No code in the package repeats a kernel call: neither
+exact expectation in ``averages`` calls the kernel, and the ``slice``
+command makes one call per process.  The cache stays because the benchmark
+reads its ``cache_info()``.  All arithmetic is exact rational arithmetic.
 
 A sweep whose cost estimate (``_check_cost``) passes MAX_SLICE_WORK is
 refused with DomainError before its first residue.  At an estimate of 3e13,
@@ -58,7 +57,6 @@ from .errors import DomainError
 
 __all__ = [
     "group_values",
-    "slice_cdf",
     "slice_ratio",
 ]
 
@@ -122,56 +120,36 @@ def _check_cost(distinct: tuple[Fraction, ...], mults: tuple[int, ...]) -> None:
         )
 
 
-def _negative_side_sum(distinct: tuple[Fraction, ...], mults: tuple[int, ...]) -> Fraction:
-    _check_cost(distinct, mults)
-    return sum(
-        (_residue(distinct, mults, i) for i, q in enumerate(distinct) if q < 0),
-        Fraction(0),
-    )
-
-
+@functools.lru_cache(maxsize=65536)
 def _ratio(distinct: tuple[Fraction, ...], mults: tuple[int, ...]) -> Fraction:
+    """Negative-side fraction of grouped values, summed on the side with fewer
+    distinct values."""
+    if sum(mults) - 1 < 1:
+        raise DomainError("need an ambient simplex dimension of at least 1")
     # Zero vertex values sit on the cut itself and carry no volume, so "all
     # values >= 0" still means the negative side is empty and "all <= 0" means
     # it is everything.
-    if sum(mults) - 1 < 1:
-        raise DomainError("need an ambient simplex dimension of at least 1")
     negatives = sum(1 for v in distinct if v < 0)
     positives = sum(1 for v in distinct if v > 0)
     if negatives == 0:
         return Fraction(0)
     if positives == 0:
         return Fraction(1)
-    if negatives <= positives:
-        return _negative_side_sum(distinct, mults)
-    # the negated values, reversed to stay decreasing
-    return 1 - _negative_side_sum(
-        tuple(-v for v in reversed(distinct)), tuple(reversed(mults))
+    flipped = negatives > positives
+    if flipped:  # the negated values, reversed to stay decreasing
+        distinct, mults = tuple(-v for v in reversed(distinct)), tuple(reversed(mults))
+    _check_cost(distinct, mults)
+    side = sum(
+        (_residue(distinct, mults, i) for i, q in enumerate(distinct) if q < 0),
+        Fraction(0),
     )
-
-
-@functools.lru_cache(maxsize=65536)
-def _cached_ratio(distinct: tuple[Fraction, ...], mults: tuple[int, ...]) -> Fraction:
-    return _ratio(distinct, mults)
+    return 1 - side if flipped else side
 
 
 def slice_ratio(values: Iterable[Fraction]) -> Fraction:
-    """Negative-side volume fraction for arbitrary vertex values.
+    """Fraction of the simplex's volume where the functional is negative.
 
-    Groups the values, then sums the residues on whichever side of the cut
-    has fewer distinct values, complementing if needed; both routes agree
-    exactly.
+    ``slice_ratio([q - x for q in values])`` is the distribution function at x
+    of the functional under the uniform law on the simplex.
     """
-    return _cached_ratio(*group_values(values))
-
-
-def slice_cdf(values: Iterable[Fraction], x: Fraction | int) -> Fraction:
-    """Volume fraction where the functional is below x.
-
-    As a function of x this is the piecewise-polynomial distribution function
-    of the functional under the uniform law on the simplex; it is
-    ``slice_ratio`` of the shifted values q - x, so values may repeat.  Shifted
-    values rarely recur, so this bypasses the cache.
-    """
-    x = Fraction(x)
-    return _ratio(*group_values([Fraction(v) - x for v in values]))
+    return _ratio(*group_values(values))

@@ -38,7 +38,6 @@ PUBLIC = {
     "is_generic",
     "Measure",
     "slice_ratio",
-    "slice_cdf",
     "MonteCarloEstimate",
     "AverageReport",
     "ConvergenceRow",

@@ -57,12 +57,11 @@ from linkage_betti.averages import EXACT_MAX_BARS, MC_SETUP_BUDGET_BYTES, subset
 from linkage_betti.sampling import (
     CHUNK_SIZE,
     MonteCarloEstimate,
-    _chunks,
     chunk_rng,
     sample_unit_cube,
     sample_unit_simplex,
 )
-from linkage_betti.slicing import _cached_ratio
+from linkage_betti.slicing import _ratio
 
 from oracles import (
     blockwise_mc_counts,
@@ -179,10 +178,10 @@ def test_exact_paths_make_no_slice_kernel_call():
     names = {alias.name for node in imports for alias in node.names}
     assert "slicing" not in modules and "slice_ratio" not in names
     assert "functional_values" not in names
-    before = _cached_ratio.cache_info()
+    before = _ratio.cache_info()
     average_betti_exact(30, 13, Measure.SIMPLEX)
     convergence_table(2, 5, 24, Measure.SIMPLEX)
-    assert _cached_ratio.cache_info() == before
+    assert _ratio.cache_info() == before
 
 
 def test_regression_pins():
@@ -253,6 +252,25 @@ def test_mc_setup_budget_refuses_before_allocating():
     # every degree up to 21 bars fits; n = 21, p = 9 is the largest
     rows = math.comb(20, 9) + math.comb(20, 10)
     assert rows * 20 * 8 <= MC_SETUP_BUDGET_BYTES
+
+
+def test_mc_bar_counts_past_every_degree_are_refused_on_n_alone():
+    def need(n, p):
+        return (math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)) * (n - 1) * 8
+
+    # 257 bars is the last count with a degree that fits
+    assert min(need(257, p) for p in range(255)) <= MC_SETUP_BUDGET_BYTES
+    assert min(need(258, p) for p in range(256)) > MC_SETUP_BUDGET_BYTES
+    with pytest.raises(DomainError, match="every degree at 258 bars"):
+        average_betti_mc(258, 0, Measure.CUBE, 1, 0)
+    with pytest.raises(DomainError) as refused:
+        average_betti_mc(257, 1, Measure.CUBE, 1, 0)
+    assert str(refused.value) == (
+        "Monte Carlo at n=257, p=1 needs 5398 MiB of subset rows, above the 64 MiB budget")
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="64 MiB budget"):
+        average_betti_mc(10**6, 5 * 10**5, Measure.SIMPLEX, 1, 0)
+    assert time.perf_counter() - start < 0.25
 
 
 @pytest.mark.parametrize(
@@ -429,8 +447,11 @@ def test_mc_regression_pins():
 def test_mc_matches_the_blockwise_oracle(n, p, measure, samples, monkeypatch):
     seed = 17
     sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
+    # chunk k holds CHUNK_SIZE samples, the last one what is left
+    chunks = [(k, min(CHUNK_SIZE, samples - k * CHUNK_SIZE))
+              for k in range(-(-samples // CHUNK_SIZE))]
     total = total_sq = 0
-    for index, count in _chunks(samples):
+    for index, count in chunks:
         counts = blockwise_mc_counts(sampler, n, p, chunk_rng(seed, index), count)
         total += int(counts.sum())
         total_sq += int(counts @ counts)
@@ -455,7 +476,7 @@ def test_mc_matches_the_blockwise_oracle(n, p, measure, samples, monkeypatch):
     tile = max(1, averages._TILE_BYTES // (8 * columns))
     assert operands == [
         ((min(tile, count - start), n - 1), (8 * n, 8))
-        for _, count in _chunks(samples)
+        for _, count in chunks
         for start in range(0, count, tile)
     ]
     if n == 21:

@@ -8,6 +8,7 @@ Core claims exercised here:
     every cost ceiling (slice sweep, betti subset count and sums, exact bar
     counts, Monte Carlo set-up and budget) exits 3 in a child held to one
     second of CPU and 1 GiB of address space;
+  * a closed stdout ends a command with exit code 1 and nothing on stderr;
   * sampling runs are byte-identical for identical arguments, also across
     OpenBLAS thread counts in fresh interpreters;
   * --threads leaves exact output unchanged, and argparse refuses a count
@@ -367,6 +368,14 @@ COST_CEILINGS = {
     "sample-past-pick-budget": (
         ("sample", "--n", "30", "--p", "13", "--measure", "cube", "--samples", "1"),
         "MiB budget"),
+    # every degree past 257 bars is over the budget; the binomial at a central
+    # degree overflowed a float at 1,100 bars and took minutes at 3,000,000
+    "sample-1100-bars-central": (
+        ("sample", "--n", "1100", "--p", "550", "--measure", "cube", "--samples", "1"),
+        "MiB budget"),
+    "sample-3000000-bars-central": (
+        ("sample", "--n", "3000000", "--p", "1500000", "--measure", "cube",
+         "--samples", "1"), "MiB budget"),
     "sample-past-max-samples": (
         ("sample", "--n", "5", "--p", "0", "--measure", "cube",
          "--samples", str(MC_MAX_SAMPLES + 1)), "exceed the limit"),
@@ -394,6 +403,26 @@ def test_cost_ceilings_refuse_within_a_cpu_second_and_a_gib(case):
     )
     assert result.returncode == 3, result
     assert fragment in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("slice", "--q", "-1,1,2"),
+     ("convergence", "--p", "0", "--n-min", "3", "--n-max", "400", "--measure", "cube")],
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # the reader is gone before the first byte, as when ``| head`` has exited
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "linkage_betti", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=child_env(), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert result.stderr == b""
+    assert result.returncode == 1
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import threading
-from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -144,11 +143,6 @@ def _recording_executor(sizes: list[int]):
 
         def map(self, fn, items):
             return map(fn, items)
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
 
     return Executor
 

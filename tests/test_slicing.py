@@ -6,12 +6,14 @@ Core claims exercised here:
   * it equals the partial-fraction oracle on distinct values and the
     weak-composition oracle on repeated ones (examples, simple-value
     reduction, homogeneity, perturbation limits, a hypothesis property test);
-  * the CDF is a genuine distribution function of the vertex values, repeated
-    or not, and does not fill the slice cache;
-  * the dispatcher's two evaluation routes agree exactly, complement and
+  * ``slice_ratio`` of the shifted values q - x is a genuine distribution
+    function of x, the vertex values repeated or not;
+  * the sums over the two sides of the cut agree exactly, complement and
     partition-of-unity identities hold exactly;
-  * a sweep whose cost estimate passes the limit is refused at once, on
-    either route and through ``slice_cdf`` too.
+  * each ``slice_ratio`` call is one lookup of the module's one cached
+    function;
+  * a sweep whose cost estimate passes the limit is refused at once, whichever
+    side of the cut is summed.
 """
 
 from __future__ import annotations
@@ -25,14 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_betti import DomainError, Measure, slice_cdf, slice_ratio
+from linkage_betti import DomainError, Measure, slice_ratio, slicing
 from linkage_betti.simplexes import functional_values
-from linkage_betti.slicing import (
-    _cached_ratio,
-    _negative_side_sum,
-    _residue,
-    group_values,
-)
+from linkage_betti.slicing import _ratio, _residue, group_values
 from oracles import (
     confluent_factor,
     distinct_slice_ratio,
@@ -76,6 +73,11 @@ def _random_grouped(
 def _expand(distinct, mults) -> list[Fraction]:
     """The vertex values a (distinct, multiplicities) pair groups."""
     return [v for v, m in zip(distinct, mults) for _ in range(m)]
+
+
+def _cdf(values, x) -> Fraction:
+    """Volume fraction where the functional is below x."""
+    return slice_ratio([Fraction(v) - x for v in values])
 
 
 def test_group_values_examples():
@@ -148,10 +150,10 @@ def test_confluent_matches_triangle_oracle_with_repeats():
 
 
 def test_slice_cdf_examples():
-    assert slice_cdf([0, 1], Fraction(1, 3)) == Fraction(1, 3)
-    assert slice_cdf([-1, 1, 2], 0) == Fraction(1, 6)
-    assert slice_cdf([-1, 1, 2], 2) == 1
-    assert slice_cdf([-1, 1, 2], -1) == 0
+    assert _cdf([0, 1], Fraction(1, 3)) == Fraction(1, 3)
+    assert _cdf([-1, 1, 2], 0) == Fraction(1, 6)
+    assert _cdf([-1, 1, 2], 2) == 1
+    assert _cdf([-1, 1, 2], -1) == 0
 
 
 def test_slice_cdf_is_a_distribution_function():
@@ -159,12 +161,12 @@ def test_slice_cdf_is_a_distribution_function():
     for _ in range(40):
         q = _random_distinct(rnd, rnd.randint(2, 7))
         lo, hi = min(q), max(q)
-        assert slice_cdf(q, lo) == 0
-        assert slice_cdf(q, hi) == 1
+        assert _cdf(q, lo) == 0
+        assert _cdf(q, hi) == 1
         grid = [lo + (hi - lo) * Fraction(t, 24) for t in range(25)]
-        values = [slice_cdf(q, x) for x in grid]
+        values = [_cdf(q, x) for x in grid]
         assert all(a <= b for a, b in zip(values, values[1:]))
-        assert slice_cdf(q, 0) == distinct_slice_ratio(q)
+        assert _cdf(q, 0) == distinct_slice_ratio(q)
 
 
 def test_slice_cdf_with_repeated_values():
@@ -173,7 +175,7 @@ def test_slice_cdf_with_repeated_values():
         q = _expand(*_random_grouped(rnd))
         lo, hi = min(q), max(q)
         grid = [lo + (hi - lo) * Fraction(t, 24) for t in range(25)]
-        values = [slice_cdf(q, x) for x in grid]
+        values = [_cdf(q, x) for x in grid]
         assert values[0] == 0 and values[-1] == 1
         assert all(a <= b for a, b in zip(values, values[1:]))
         for x, y in zip(grid, values):
@@ -181,14 +183,16 @@ def test_slice_cdf_with_repeated_values():
             assert y == slice_ratio(shifted) == weak_composition_slice_ratio(shifted)
 
 
-def test_slice_cdf_leaves_the_cache_alone():
+def test_each_slice_ratio_call_is_one_lookup_of_the_one_cache():
+    cached = [name for name, value in vars(slicing).items() if hasattr(value, "cache_info")]
+    assert cached == ["_ratio"]
     q = [Fraction(-3, 7), Fraction(2, 7), Fraction(2, 7), Fraction(5, 7)]
-    before = _cached_ratio.cache_info()
-    values = [slice_cdf(q, Fraction(t, 97)) for t in range(-50, 80)]
-    after = _cached_ratio.cache_info()
-    assert (after.hits, after.misses, after.currsize) == (
-        before.hits, before.misses, before.currsize)
-    assert values[0] == 0 and values[-1] == 1
+    for t in range(-50, 80):
+        before = _ratio.cache_info()
+        slice_ratio([v - Fraction(t, 97) for v in q])
+        slice_ratio(q)
+        after = _ratio.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 2
 
 
 def test_partition_of_unity():
@@ -292,9 +296,12 @@ def test_dispatcher_routes_agree():
         for measure in Measure:
             values = functional_values(subset, measure)
             distinct, mults = group_values(values)
-            direct = _negative_side_sum(distinct, mults)
-            complemented = 1 - _negative_side_sum(*group_values([-v for v in values]))
-            assert direct == complemented
+            flipped = group_values([-v for v in values])
+            direct, other = (
+                sum((_residue(d, m, i) for i, q in enumerate(d) if q < 0), Fraction(0))
+                for d, m in ((distinct, mults), flipped)
+            )
+            assert direct == 1 - other
             assert slice_ratio(values) == direct
             assert weak_composition_slice_ratio(values) == direct
 
@@ -313,11 +320,10 @@ def test_costly_sweeps_are_refused_before_the_first_residue():
     # the check each sweep takes about 25 s
     for sign in (1, -1):
         q = [Fraction(sign * v) for v in (-1, 1, 2) for _ in range(1067)]
-        for call in (slice_ratio, lambda values: slice_cdf(values, 0)):
-            start = time.perf_counter()
-            with pytest.raises(DomainError, match="slice cost limit"):
-                call(q)
-            assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="slice cost limit"):
+            slice_ratio(q)
+        assert time.perf_counter() - start < 1.0
 
 
 _VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=6)
