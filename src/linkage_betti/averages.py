@@ -27,9 +27,9 @@ the k - 1 other members of J and B the n - k non-members.
   IH_{n-1} < n - 1 - k, so T(n - 2 - p) = C(n-1, p+2) F.  At an integer k,
   P(IH_m <= k) = sum_{j <= k} (-1)^j C(m, j) (k - j)^m / m!, and m - IH_m has
   the law of IH_m, so min(k, m - k) + 1 terms serve.
-* simplex measure (uniform on the probability simplex):
-      T(k) = n C(n-1, k-1) * sum_{a < k, b <= n-k} (-1)^(a+b) C(k-1, a)
-             C(n-k, b) / (1+a+b) * G(k-1, n-k, c_ab),
+* simplex measure (uniform on the probability simplex): with K = k - 1,
+  m = n - k and w_ab = (-1)^(a+b) C(K, a) C(m, b),
+      T(k) = n C(n-1, K) sum_{a <= K, b <= m} w_ab G(K, m, c_ab) / (1+a+b),
   c_ab = (1+a-b)/(1+a+b).  The lengths are iid Exp(1) up to scale; condition
   on the longest bar being t, expand "every other bar < t" by
   inclusion-exclusion over the a members and b non-members that exceed t,
@@ -38,12 +38,18 @@ the k - 1 other members of J and B the n - k non-members.
   Gamma_K and Gamma'_m are the K-th and m-th arrivals of two independent
   rate-1 Poisson processes.  Their merged arrivals are fair coin flips, so
   with probability C(K-1+i, i) / 2^(K+i) exactly i < m arrivals of the
-  second come before the K-th of the first.  By memorylessness the second
-  then needs m - i fresh arrivals, all before c E with probability r^(m-i),
-  as P(Gamma_j < c E) = (c/(1+c))^j = r^j.  So for c >= 0
-      G(K, m, c) = sum_{i < m} C(K-1+i, i) 2^-(K+i) (1 - r^(m-i)),
-  which is 1 - r^m when K = 0, and G(K, m, c) = 1 - G(m, K, |c|) for c < 0.
-  Each (a, b) term, r = (1+a-b)/(2+2a) or (b-1-a)/(2b), is one integer loop.
+  second come before the K-th of the first, and over i < m these add up to
+  W = P(Bin(n-2, 1/2) >= K).  By memorylessness the second then needs m - i
+  fresh arrivals, all before c E with probability (c/(1+c))^(m-i).  So, with
+  tau(F, N, x) = sum_{i < N} C(F-1+i, i) x^(N-i),
+      G = W - 2^(1-n) tau(K, m, (1+a-b)/(1+a))                   for c >= 0,
+      G = 1 - G(m, K, |c|) = W + 2^(1-n) tau(m, K, (b-1-a)/b)    for c < 0,
+  the latter as P(Bin(n-2, 1/2) < m) = W.  As sum_ab w_ab / (1+a+b) =
+  int_0^1 (1-x)^(n-1) dx = 1/n, the terms' W parts collapse to one tail:
+      T(k) = C(n-1, K) [W - n 2^(1-n) (sum_{c>=0} - sum_{c<0}) w_ab tau / (1+a+b)].
+  The c >= 0 terms with one a share the weights C(K-1+i, i) (1+a)^i and the
+  denominator (1+a)^m lcm(1+a+b), the c < 0 terms with one b share
+  C(m-1+j, j) b^j and b^K lcm(1+a+b); each group is one integer numerator.
 
 The exact path is rational arithmetic end to end and starts no threads; its
 cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path draws
@@ -96,12 +102,11 @@ __all__ = [
 
 # Largest bar count per measure, for single values and convergence tables
 # alike.  The costliest request it admits is a whole table, n = p + 3 up to
-# the ceiling, at its costliest degree.  Timed interleaved, 3 runs each
-# (CPython 3.11, one Xeon vCPU): simplex p = 34 to 100 bars 4.0-4.9 s, cube
-# p = 350 to 900 bars 2.9-3.6 s.  One central degree at the ceiling takes
-# 0.26 s (simplex) and 0.02 s (cube).  The rationals have about 2,300 digits
-# (cube) and 1,100 (simplex) at the ceilings, within the 4,300 that Python's
-# default int-to-str prints.
+# the ceiling, at its costliest degree (CPython 3.11, one Xeon vCPU): simplex
+# p = 34 to 100 bars 0.7-0.9 s in 3 runs, cube p = 350 to 900 bars 2.6-3.6 s;
+# one central degree at the ceiling 0.03 s (simplex), 0.02 s (cube).  The
+# rationals have about 2,300 digits (cube) and 1,100 (simplex) at the
+# ceilings, within the 4,300 that Python's default int-to-str prints.
 EXACT_MAX_BARS = {Measure.SIMPLEX: 100, Measure.CUBE: 900}
 
 
@@ -149,9 +154,7 @@ class AverageReport(NamedTuple):
 def _check_exact_size(n: int, measure: Measure) -> None:
     ceiling = EXACT_MAX_BARS[measure]
     if n > ceiling:
-        raise DomainError(
-            f"exact {measure} expectations take at most {ceiling} bars, got {n}"
-        )
+        raise DomainError(f"exact {measure} expectations take at most {ceiling} bars, got {n}")
 
 
 def _irwin_hall_cdf(m: int, k: int) -> Fraction:
@@ -162,37 +165,37 @@ def _irwin_hall_cdf(m: int, k: int) -> Fraction:
     return Fraction(below, math.factorial(m))
 
 
-def _race(K: int, m: int, s: int, t: int) -> tuple[int, int]:
-    """G(K, m, s/t) for t > 0 as (numerator, denominator), exactly.
-
-    For s >= 0, r = s/v with v = s + t.  Over the denominator 2^(K+m-1) v^m,
-    term i of G is C(K-1+i, i) 2^(m-1-i) (v^m - s^(m-i) v^i); one Horner
-    loop adds up the s-parts.
-    """
-    if s < 0:
-        top, bottom = _race(m, K, -s, t)
-        return bottom - top, bottom
-    whole = horner = 0
-    binomial = v_power = 1
-    for i in range(m):
-        weight = binomial << (m - 1 - i)
-        whole += weight
-        horner = horner * s + weight * v_power
-        v_power *= s + t
-        binomial = binomial * (K + i) // (i + 1)
-    return whole * v_power - s * horner, v_power << (K + m - 1)
+def _horner_group(first: int, count: int, base: int, terms: list[tuple[int, ...]]) -> Fraction:
+    """sum w tau(first, count, s/base) / d over terms (w, s, d), over the shared
+    denominator base^count lcm(d); each s^count tau is one Horner pass in s."""
+    weights, binomial, power = [], 1, 1
+    for i in range(count):  # C(first-1+i, i) base^i
+        weights.append(binomial * power)
+        binomial, power = binomial * (first + i) // (i + 1), power * base
+    lcm = math.lcm(*(d for _, _, d in terms))
+    top = 0
+    for w, s, d in terms:
+        h = 0
+        for weight in weights:
+            h = h * s + weight
+        top += w * s * h * (lcm // d)
+    return Fraction(top, power * lcm)
 
 
 def _anchored_short_simplex(n: int, k: int) -> Fraction:
     """T(k) under the simplex measure (module docstring)."""
     K, m = k - 1, n - k
-    total = Fraction(0)
-    for a in range(k):
-        for b in range(m + 1):
-            top, bottom = _race(K, m, 1 + a - b, 1 + a + b)
-            weight = (-1) ** (a + b) * math.comb(K, a) * math.comb(m, b)
-            total += Fraction(weight * top, (1 + a + b) * bottom)
-    return n * math.comb(n - 1, k - 1) * total
+    left = [(-1) ** a * math.comb(K, a) for a in range(k)]
+    right = [(-1) ** b * math.comb(m, b) for b in range(m + 1)]
+    rest = Fraction(0)
+    for a in range(k):  # c >= 0, grouped by a; b = 1 + a has s = 0
+        terms = [(left[a] * right[b], 1 + a - b, 1 + a + b) for b in range(min(a, m) + 1)]
+        rest += _horner_group(K, m, 1 + a, terms)
+    for b in range(2, m + 1):  # c < 0, grouped by b
+        terms = [(left[a] * right[b], b - 1 - a, 1 + a + b) for a in range(min(K, b - 2) + 1)]
+        rest -= _horner_group(m, K, b, terms)
+    tail = Fraction(sum(math.comb(n - 2, i) for i in range(K, n - 1)), 2 ** (n - 2))
+    return math.comb(n - 1, K) * (tail - Fraction(n * rest, 2 ** (n - 1)))
 
 
 def average_betti_exact(
@@ -201,8 +204,8 @@ def average_betti_exact(
     """Exact expected p-th Betti number for n bars under the given measure.
 
     Evaluates the closed forms of the module docstring, neither of which
-    calls the slice kernel: one Irwin-Hall CDF for the cube measure and
-    O(n^2) integer sums G for the simplex.
+    calls the slice kernel: one Irwin-Hall CDF for the cube measure, and for
+    the simplex two T, each one binomial tail plus n + 1 Horner groups.
     Refused with DomainError above ``EXACT_MAX_BARS[measure]`` bars.
     ``workers`` is accepted and ignored; the exact path starts no threads.
     """
@@ -213,8 +216,7 @@ def average_betti_exact(
         first = math.comb(n - 1, p) * (1 - below)
         second = math.comb(n - 1, p + 2) * below
     else:
-        first = _anchored_short_simplex(n, p + 1)
-        second = first if n == 2 * p + 3 else _anchored_short_simplex(n, n - 2 - p)
+        first, second = (_anchored_short_simplex(n, k) for k in (p + 1, n - 2 - p))
     return AverageReport(
         n=n,
         p=p,
@@ -253,10 +255,7 @@ def convergence_table(
     for n in range(n_min, n_max + 1):
         report = average_betti_exact(n, p, measure)
         gap = abs(report.gap)
-        if previous_gap is None or previous_gap == 0:
-            ratio = None
-        else:
-            ratio = gap / previous_gap
+        ratio = gap / previous_gap if previous_gap else None  # None after a zero gap too
         rows.append(ConvergenceRow(report=report, gap_ratio=ratio))
         previous_gap = gap
     return rows

@@ -7,6 +7,8 @@ itself is checked against the oracles below).  ``subset_volume_term`` is one
 term of that sum for a given subset, and ``three_value_class_sum`` is the
 earlier simplex closed form, which sends each Gamma race of the ``averages``
 docstring through the slice kernel as a cut on three distinct values.
+``race_class_sum`` is the closed form that replaced it and was replaced in
+turn: each Gamma race its own integer sum, one ``Fraction`` per term.
 ``expected_short_subsets`` is E[S_k], the expected number of short k-subsets
 (anchored or not), from a binomial tail for the simplex and, for the cube,
 an Irwin-Hall distribution function summed from Eulerian numbers rather
@@ -231,6 +233,44 @@ def three_value_class_sum(n: int, k: int) -> Fraction:
                 (-1) ** (a + b) * math.comb(k - 1, a) * math.comb(n - k, b), rate
             )
             total += weight * slice_ratio(signs + [Fraction(1 + a - b, rate)])
+    return n * math.comb(n - 1, k - 1) * total
+
+
+def _race(K: int, m: int, s: int, t: int) -> tuple[int, int]:
+    """G(K, m, s/t) for t > 0 as (numerator, denominator), exactly.
+
+    For s >= 0, r = s/v with v = s + t.  Over the denominator 2^(K+m-1) v^m,
+    term i of G is C(K-1+i, i) 2^(m-1-i) (v^m - s^(m-i) v^i); one Horner
+    loop adds up the s-parts.
+    """
+    if s < 0:
+        top, bottom = _race(m, K, -s, t)
+        return bottom - top, bottom
+    whole = horner = 0
+    binomial = v_power = 1
+    for i in range(m):
+        weight = binomial << (m - 1 - i)
+        whole += weight
+        horner = horner * s + weight * v_power
+        v_power *= s + t
+        binomial = binomial * (K + i) // (i + 1)
+    return whole * v_power - s * horner, v_power << (K + m - 1)
+
+
+def race_class_sum(n: int, k: int) -> Fraction:
+    """T(k) under the simplex measure, one exact Gamma race G per (a, b) term.
+
+    The sum of the ``averages`` docstring term by term, each G its own
+    integer sum (``_race``), before the W parts were collapsed and the terms
+    grouped by shared denominator.
+    """
+    K, m = k - 1, n - k
+    total = Fraction(0)
+    for a in range(k):
+        for b in range(m + 1):
+            top, bottom = _race(K, m, 1 + a - b, 1 + a + b)
+            weight = (-1) ** (a + b) * math.comb(K, a) * math.comb(m, b)
+            total += Fraction(weight * top, (1 + a + b) * bottom)
     return n * math.comb(n - 1, k - 1) * total
 
 

@@ -326,7 +326,7 @@ def test_criterion_11_cube_gap_decay_to_200_bars():
 
 def test_criterion_12_simplex_gap_decay():
     # n = 100 is the largest bound that fits: it is EXACT_MAX_BARS for the
-    # simplex, and the four tables take about 1.2 s (CPython 3.11, one Xeon
+    # simplex, and the four tables take about 0.5 s (CPython 3.11, one Xeon
     # vCPU), well inside the budget.
     with criterion(12, "simplex gap decay to 100 bars", 30.0):
         for p, start in ((0, 3), (1, 4), (2, 7), (3, 12)):

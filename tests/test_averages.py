@@ -6,7 +6,12 @@ Core claims exercised here:
   * the closed forms equal the enumerated subset sum of ``tests/oracles.py``
     (a ``hypothesis`` property test over every n <= 11), and the simplex
     T(k) equals the earlier three-value slice-kernel form (every k at
-    n <= 20, and the central k at n = 40 and 44) without calling the kernel;
+    n <= 20, and the central k at n = 40 and 44) without calling the kernel,
+    and the per-term Gamma-race form of ``tests/oracles.py`` up to the
+    simplex ceiling (a ``hypothesis`` test, pinned at 100 bars);
+  * the two identities the simplex closed form rests on hold for n <= 30:
+    its terms' weights integrate to 1/n, and the Gamma race's arrival weights
+    add up to a binomial tail;
   * the n = 3 expectations reproduce the classical stick-breaking values
     exactly (1/2 on the simplex, 1 on the cube);
   * engine regression values are pinned with full rational precision and
@@ -17,7 +22,8 @@ Core claims exercised here:
     T(k) - T(n-k) = E[S_k] - C(n-1, k) holds and the cube gap equals
     (C(n-1,p) - C(n-1,p+2)) P(IH_{n-1} <= p+1), with E[S_k] and the
     Irwin-Hall CDF from the oracles (Eulerian numbers for the cube); the cube
-    gap is exactly 0 at n = 2p + 3;
+    gap is exactly 0 at n = 2p + 3, and the simplex gap lies between 0 and
+    the expected number of long (p+1)-subsets, C(n, p+1) - E[S_{p+1}];
   * per-term bounds and anchor-relabeling invariance hold on the computed
     range;
   * size ceilings refuse oversized exact and Monte Carlo requests at once;
@@ -70,6 +76,7 @@ from oracles import (
     expected_short_subsets,
     irwin_hall_cdf,
     members,
+    race_class_sum,
     subset_volume_term,
     three_value_class_sum,
 )
@@ -169,6 +176,62 @@ def test_simplex_closed_form_matches_the_three_value_oracle(case):
 def test_simplex_closed_form_matches_the_three_value_oracle_at_scale(n):
     k = n // 2
     assert averages._anchored_short_simplex(n, k) == three_value_class_sum(n, k)
+
+
+@st.composite
+def _simplex_class_sizes(draw):
+    n = draw(st.integers(3, EXACT_MAX_BARS[Measure.SIMPLEX]))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_simplex_class_sizes())
+@example(case=(100, 1))
+@example(case=(100, 50))
+@example(case=(100, 99))
+def test_simplex_closed_form_matches_the_race_oracle_up_to_the_ceiling(case):
+    n, k = case
+    assert averages._anchored_short_simplex(n, k) == race_class_sum(n, k)
+
+
+def test_simplex_terms_integrate_to_one_over_n():
+    # sum_ab (-1)^(a+b) C(K, a) C(m, b) / (1+a+b) = int_0^1 (1-x)^(K+m) dx,
+    # which lets the closed form collect every term's W into one tail
+    for n in range(3, 31):
+        for k in range(1, n):
+            K, m = k - 1, n - k
+            total = sum(Fraction((-1) ** (a + b) * math.comb(K, a) * math.comb(m, b), 1 + a + b)
+                        for a in range(K + 1) for b in range(m + 1))
+            assert total == Fraction(1, n), (n, k)
+
+
+def test_gamma_race_arrival_weights_sum_to_a_binomial_tail():
+    # exactly i < m of the second process's arrivals precede the K-th of the
+    # first with probability C(K-1+i, i) / 2^(K+i); together, K heads come
+    # before m tails in n - 2 fair flips
+    for n in range(3, 31):
+        for K in range(1, n - 1):
+            m = n - 1 - K
+            race = sum(Fraction(math.comb(K - 1 + i, i), 2 ** (K + i)) for i in range(m))
+            tail = Fraction(sum(math.comb(n - 2, j) for j in range(K, n - 1)), 2 ** (n - 2))
+            assert race == tail, (n, K)
+
+
+@st.composite
+def _simplex_degrees(draw):
+    n = draw(st.integers(3, EXACT_MAX_BARS[Measure.SIMPLEX]))
+    return n, draw(st.integers(0, n - 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_simplex_degrees())
+@example(case=(EXACT_MAX_BARS[Measure.SIMPLEX], 48))
+def test_simplex_gap_lies_below_the_expected_long_subsets(case):
+    # a long (p+1)-subset is the complement of a short one, so
+    # E[L_{p+1}] = C(n, p+1) - E[S_{p+1}] bounds the gap from above
+    n, p = case
+    gap = average_betti_exact(n, p, Measure.SIMPLEX).gap
+    assert 0 <= gap <= math.comb(n, p + 1) - expected_short_subsets(n, p + 1, Measure.SIMPLEX)
 
 
 def test_exact_paths_make_no_slice_kernel_call():

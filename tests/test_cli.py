@@ -14,7 +14,8 @@ Core claims exercised here:
   * --threads leaves exact output unchanged, and argparse refuses a count
     below 1 (exit 2) like any other malformed input;
   * every command's table, csv and json bytes are pinned in cli_outputs.txt,
-    and two cube tables near the ceiling by the sha256 of their csv bytes.
+    and two cube and two simplex tables near the ceilings by the sha256 of
+    their csv bytes.
 """
 
 from __future__ import annotations
@@ -437,6 +438,22 @@ def test_cube_tables_near_the_ceiling_keep_their_bytes(capsys, p, n_min, digest)
     # the rationals reach about 2,300 digits
     code, out = run_cli(capsys, "convergence", "--p", str(p), "--n-min", str(n_min),
                         "--n-max", "900", "--measure", "cube", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (0, "e43029e43bee2b80a4942adf0ed9baa6dcb44fef524e19ab08e9715c3507a84d"),
+        (34, "a01cbcc1504992407de31aae28ebd17a335c2ff3f8d82e2e0484d1ad5e514962"),
+    ],
+)
+def test_simplex_tables_near_the_ceiling_keep_their_bytes(capsys, p, digest):
+    # sha256 of the csv bytes as one Fraction per Gamma race term computed
+    # them, before the terms were grouped by shared denominator
+    code, out = run_cli(capsys, "convergence", "--p", str(p), "--n-min", "90",
+                        "--n-max", "100", "--measure", "simplex", "--format", "csv")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
