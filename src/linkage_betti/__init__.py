@@ -8,10 +8,10 @@ The library has three layers:
   exact volume fractions of a simplex on one side of a linear cut, the
   geometric picture that the averages' closed forms condense;
 * :mod:`linkage_betti.averages` computes exact expected Betti numbers under
-  two random-length models from closed forms (an integer sum over races of
-  Gamma sums for the uniform law on the probability simplex, one Irwin-Hall
-  CDF for iid uniform lengths on the cube) and cross-checks them by seeded
-  Monte Carlo (:mod:`linkage_betti.sampling`).
+  two random-length models from closed forms (for the uniform law on the
+  probability simplex, one binomial tail plus one Horner sum per shared
+  denominator; for iid uniform lengths on the cube, one Irwin-Hall CDF) and
+  cross-checks them by seeded Monte Carlo (:mod:`linkage_betti.sampling`).
 
 ``__all__`` holds the names a caller computes with.  Each is importable from
 the package, but the module that defines it loads on first access (PEP 562),

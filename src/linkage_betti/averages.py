@@ -342,10 +342,11 @@ def average_betti_mc(
     are probability-zero events in floating point and are ignored.  Chunk
     accumulators are exact integer sums, so the estimate depends only on
     (seed, samples).  Refused with DomainError, before any set-up, for a bad
-    sample, seed or worker count, and when the pick matrix would exceed
-    ``MC_SETUP_BUDGET_BYTES``.
+    sample count or seed, and when the pick matrix would exceed
+    ``MC_SETUP_BUDGET_BYTES``.  ``workers`` is accepted and ignored; the
+    chunks run one after another on the calling thread.
     """
-    _check_budget(samples, seed, workers)
+    _check_budget(samples, seed)
     check_degree(n, p)
     picks = _pick_matrix(n, p)
     import numpy as np
@@ -376,7 +377,7 @@ def average_betti_mc(
             total_sq += int(np.dot(per_sample, per_sample))
         return total, total_sq
 
-    parts = map_chunks(worker, samples, seed, workers)
+    parts = map_chunks(worker, samples, seed)
     total = sum(part[0] for part in parts)
     total_sq = sum(part[1] for part in parts)
     mean = total / samples

@@ -209,8 +209,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=_thread_count,
         metavar="N",
-        help="worker threads for Monte Carlo sampling, used by sample only "
-        "(default: all cores)",
+        help="ignored, so that existing command lines still run (at least 1)",
     )
 
 
@@ -358,7 +357,7 @@ def _cmd_convergence(args: argparse.Namespace) -> tuple[tuple[str, ...], list[di
 
 
 def _cmd_sample(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
-    # read when numpy loads; OpenBLAS's threads would only spin beside --threads
+    # read when numpy loads; on a tile's small product OpenBLAS's own threads would only spin
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .simplexes import Measure
 
@@ -368,7 +367,6 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
         Measure(args.measure),
         args.samples,
         args.seed,
-        workers=args.threads or os.cpu_count() or 1,
     )
     row = {
         "n": args.n,

@@ -1,20 +1,18 @@
 """Seeded Monte Carlo sampling behind ``averages.average_betti_mc``.
 
 A sample budget is split into fixed-size chunks, and chunk k is drawn from a
-fresh generator seeded by (seed, k).  Results are therefore bit-identical for
-a given (seed, samples) pair no matter how many worker threads process the
-chunks, and chunk accumulators are exact integers so the reduction order
-cannot perturb the estimate either.  Budgets above MC_MAX_SAMPLES are refused
-with DomainError before any work starts.
+fresh generator seeded by (seed, k).  The chunks run one after another on the
+calling thread, and chunk accumulators are exact integers, so results are
+bit-identical for a given (seed, samples) pair.  Budgets above MC_MAX_SAMPLES
+are refused with DomainError before any work starts.
 
-numpy and ``concurrent.futures`` are imported inside the functions that draw
-or pool, not at module top: importing numpy costs about 0.1 s of CPU and
-starts OpenBLAS threads, which every process that never samples would pay.
+numpy is imported inside the functions that draw, not at module top:
+importing it costs about 0.1 s of CPU and starts OpenBLAS threads, which
+every process that never samples would pay.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 from .errors import DomainError
@@ -30,10 +28,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 15
-# 32,768 chunks.  map_chunks lists every chunk's size up front and, when it
-# pools, submits every chunk's task before the first result comes back: about
-# 2.2 KiB a chunk under tracemalloc (72 MB at this limit).  Each chunk builds
-# its generator inside its own task, so no generator waits in the queue.
+# 32,768 chunks.  map_chunks builds each chunk's generator when that chunk
+# runs and keeps only the finished chunks' results.
 MC_MAX_SAMPLES = 2**30
 
 T = TypeVar("T")
@@ -48,15 +44,13 @@ class MonteCarloEstimate(NamedTuple):
     seed: int
 
 
-def _check_budget(samples: int, seed: int, workers: int) -> None:
+def _check_budget(samples: int, seed: int) -> None:
     if samples < 1:
         raise DomainError("need at least one sample")
     if samples > MC_MAX_SAMPLES:
         raise DomainError(f"{samples} samples exceed the limit of {MC_MAX_SAMPLES}")
     if seed < 0:
         raise DomainError("seed must be nonnegative")
-    if workers < 1:
-        raise DomainError("need at least one worker")
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -67,29 +61,14 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def map_chunks(
-    worker: Callable[[np.random.Generator, int], T],
-    samples: int,
-    seed: int,
-    workers: int = 1,
+    worker: Callable[[np.random.Generator, int], T], samples: int, seed: int
 ) -> list[T]:
-    """Run ``worker(rng, count)`` over every chunk, in chunk order.
-
-    The pool has ``min(workers, chunks, os.cpu_count() or 1)`` threads,
-    however many ``workers`` are asked for.
-    """
-    _check_budget(samples, seed, workers)
-    sizes = [min(CHUNK_SIZE, samples - start) for start in range(0, samples, CHUNK_SIZE)]
-
-    def run(index: int) -> T:
-        return worker(chunk_rng(seed, index), sizes[index])
-
-    pool_size = min(workers, len(sizes), os.cpu_count() or 1)
-    if pool_size == 1:
-        return list(map(run, range(len(sizes))))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(run, range(len(sizes))))
+    """Run ``worker(rng, count)`` over every chunk, in chunk order, on this thread."""
+    _check_budget(samples, seed)
+    return [
+        worker(chunk_rng(seed, index), min(CHUNK_SIZE, samples - start))
+        for index, start in enumerate(range(0, samples, CHUNK_SIZE))
+    ]
 
 
 def sample_unit_simplex(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -356,7 +356,6 @@ def mc_slice_ratio(
     values: Sequence[Fraction] | Sequence[float],
     samples: int,
     seed: int,
-    workers: int = 1,
 ) -> MonteCarloEstimate:
     """Empirical negative-side volume fraction of a simplex cut.
 
@@ -373,7 +372,7 @@ def mc_slice_ratio(
         weights = sample_unit_simplex(rng, count, vertex_values.size)
         return int(np.count_nonzero(weights @ vertex_values < 0.0))
 
-    hits = sum(map_chunks(worker, samples, seed, workers))
+    hits = sum(map_chunks(worker, samples, seed))
     rate = hits / samples
     stderr = math.sqrt(rate * (1.0 - rate) / samples)
     return MonteCarloEstimate(estimate=rate, stderr=stderr, samples=samples, seed=seed)

@@ -11,8 +11,9 @@ Core claims exercised here:
   * a closed stdout ends a command with exit code 1 and nothing on stderr;
   * sampling runs are byte-identical for identical arguments, also across
     OpenBLAS thread counts in fresh interpreters;
-  * --threads leaves exact output unchanged, and argparse refuses a count
-    below 1 (exit 2) like any other malformed input;
+  * --threads is ignored, so exact and sampled output are the same bytes at
+    any count, and argparse refuses a count below 1 (exit 2) like any other
+    malformed input;
   * every command's table, csv and json bytes are pinned in cli_outputs.txt,
     and two cube and two simplex tables near the ceilings by the sha256 of
     their csv bytes.
@@ -534,6 +535,9 @@ def test_threads_flag(capsys):
     _, baseline = run_cli(capsys, *args)
     _, threaded = run_cli(capsys, *args, "--threads", "3")
     assert baseline == threaded
+    sample = ("sample", "--n", "12", "--p", "4", "--measure", "simplex",
+              "--samples", "70000", "--format", "json")
+    assert run_cli(capsys, *sample, "--threads", "1") == run_cli(capsys, *sample, "--threads", "2")
     with pytest.raises(SystemExit) as excinfo:
         main([*args, "--threads", "0"])
     assert excinfo.value.code == 2

@@ -3,20 +3,18 @@
 Core claims exercised here:
   * samplers produce points in the right domains (simplex rows sum to 1);
   * the slice estimator is unbiased against exact ratios at 3 standard errors;
-  * results depend only on (seed, samples): reruns and different worker counts
-    are bit-identical, including across chunk boundaries;
+  * results depend only on (seed, samples): reruns are bit-identical, each
+    chunk is counted from its own (seed, index) stream, and a budget one
+    sample past a chunk boundary adds that one sample;
   * drawing a chunk's rows in consecutive blocks gives the whole draw bit for
     bit (a ``hypothesis`` property test), which the blockwise Monte Carlo
     count rests on;
   * degenerate cases (certain events, single samples) behave as documented;
-  * thread pools hold at most one thread per work item and per CPU, and the
-    exact path starts none.
+  * no engine starts a thread, whatever ``workers`` it is given.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 import threading
 from fractions import Fraction
 
@@ -25,7 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_betti import DomainError, Measure, average_betti_exact, slice_ratio
+from linkage_betti import (
+    DomainError,
+    Measure,
+    average_betti_exact,
+    average_betti_mc,
+    slice_ratio,
+)
 from linkage_betti.sampling import (
     CHUNK_SIZE,
     chunk_rng,
@@ -72,21 +76,29 @@ def test_mc_slice_certain_events():
     assert sure_one.estimate == 1.0
 
 
-def test_mc_slice_deterministic_across_workers():
+def test_mc_slice_counts_each_chunk_from_its_own_stream():
     values = [Fraction(-1), Fraction(1), Fraction(3)]
-    baseline = mc_slice_ratio(values, 3 * CHUNK_SIZE + 17, 99, workers=1)
-    for workers in (2, 5):
-        assert mc_slice_ratio(values, 3 * CHUNK_SIZE + 17, 99, workers=workers) == baseline
-    assert mc_slice_ratio(values, 3 * CHUNK_SIZE + 17, 99) == baseline
+    samples = 3 * CHUNK_SIZE + 17
+    estimate = mc_slice_ratio(values, samples, 99)
+    assert mc_slice_ratio(values, samples, 99) == estimate
+    hits = 0
+    for index, count in enumerate((CHUNK_SIZE, CHUNK_SIZE, CHUNK_SIZE, 17)):
+        weights = sample_unit_simplex(chunk_rng(99, index), count, len(values))
+        hits += int(np.count_nonzero(weights @ np.array([-1.0, 1.0, 3.0]) < 0.0))
+    assert estimate.estimate == hits / samples
 
 
 def test_mc_slice_chunk_boundaries():
     values = [Fraction(-2), Fraction(1)]
+    hits = {}
     for samples in (1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1):
-        a = mc_slice_ratio(values, samples, 7, workers=1)
-        b = mc_slice_ratio(values, samples, 7, workers=3)
-        assert a == b
+        a = mc_slice_ratio(values, samples, 7)
+        assert mc_slice_ratio(values, samples, 7) == a
         assert a.samples == samples
+        hits[samples] = round(a.estimate * samples)
+    # a budget is a prefix of every larger one: each added sample adds 0 or 1 hit
+    assert hits[CHUNK_SIZE] - hits[CHUNK_SIZE - 1] in (0, 1)
+    assert hits[CHUNK_SIZE + 1] - hits[CHUNK_SIZE] in (0, 1)
 
 
 def test_chunk_rng_streams_are_stable():
@@ -123,60 +135,25 @@ def test_budget_validation():
     with pytest.raises(DomainError):
         mc_slice_ratio([Fraction(-1), Fraction(1)], 10, -1)
     with pytest.raises(DomainError):
-        map_chunks(lambda rng, count: count, 10, 1, workers=0)
+        map_chunks(lambda rng, count: count, 10, -1)
     with pytest.raises(DomainError):
         mc_slice_ratio([Fraction(1)], 10, 1)
 
 
-def _recording_executor(sizes: list[int]):
-    """A ThreadPoolExecutor stand-in that records its size and runs inline."""
-
-    class Executor:
-        def __init__(self, max_workers: int) -> None:
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc) -> bool:
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return Executor
-
-
-def test_thread_pools_are_capped_by_work_items_and_cpus(monkeypatch):
-    sizes: list[int] = []
-    # map_chunks imports the executor when it pools, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _recording_executor(sizes))
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+def test_no_engine_starts_a_thread(monkeypatch):
     values = [Fraction(-1), Fraction(1), Fraction(3)]
-    serial = mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=1)
-    assert sizes == []
-    assert mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=5000) == serial
-    assert sizes == [3]
-    assert map_chunks(lambda rng, count: count, 2 * CHUNK_SIZE, 0, workers=5000) == [
-        CHUNK_SIZE,
-        CHUNK_SIZE,
-    ]
-    assert sizes == [3, 2]
-
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    sizes.clear()
-    assert mc_slice_ratio(values, 5 * CHUNK_SIZE, 11, workers=5000) == serial
-    assert sizes == []
-
-    # the exact path starts no pool and no thread, whatever it is asked for
-    exact = average_betti_exact(8, 1, Measure.CUBE, workers=1)
+    serial = mc_slice_ratio(values, 5 * CHUNK_SIZE, 11)
+    mc = average_betti_mc(6, 1, Measure.SIMPLEX, 2 * CHUNK_SIZE + 5, 3)
+    exact = average_betti_exact(8, 1, Measure.CUBE)
 
     def no_thread(self):
-        raise AssertionError("the exact path started a thread")
+        raise AssertionError("an engine started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert mc_slice_ratio(values, 5 * CHUNK_SIZE, 11) == serial
+    # ``workers`` is accepted and ignored, however many are asked for
+    assert average_betti_mc(6, 1, Measure.SIMPLEX, 2 * CHUNK_SIZE + 5, 3, workers=5000) == mc
     assert average_betti_exact(8, 1, Measure.CUBE, workers=5000) == exact
     assert average_betti_exact(9, 3, Measure.SIMPLEX, workers=5000) == average_betti_exact(
         9, 3, Measure.SIMPLEX
     )
-    assert sizes == []

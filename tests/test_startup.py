@@ -2,8 +2,9 @@
 
 Only the Monte Carlo path loads numpy: importing it costs about 0.1 s of CPU
 and starts OpenBLAS threads, so every command that never samples must leave
-it (and the thread pool module) unloaded.  ``sample`` runs OpenBLAS on one
-thread unless the caller chose a count.  ``import linkage_betti`` loads no
+it unloaded.  No command loads the thread pool module, ``sample --threads 2``
+over several chunks included, and ``sample`` runs OpenBLAS on one thread
+unless the caller chose a count.  ``import linkage_betti`` loads no
 submodule, and each command loads its own engine and the standard modules
 it renders with, not the others'.  Each check runs in a fresh interpreter,
 where ``sys.modules`` and ``/proc/self/status`` show exactly what the package
@@ -200,6 +201,13 @@ def test_sample_loads_numpy():
         """
     )
     assert "numpy" in loaded
+
+
+def test_sample_runs_its_chunks_without_a_thread_pool():
+    # 70,000 samples are three chunks, so a pool of two threads would have work
+    body = _command("sample", "--n", "6", "--p", "1", "--measure", "simplex",
+                    "--samples", "70000", "--threads", "2")
+    assert _loaded_after(body) == {"numpy"}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
