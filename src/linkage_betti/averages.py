@@ -103,10 +103,10 @@ __all__ = [
 # Largest bar count per measure, for single values and convergence tables
 # alike.  The costliest request it admits is a whole table, n = p + 3 up to
 # the ceiling, at its costliest degree (CPython 3.11, one Xeon vCPU): simplex
-# p = 34 to 100 bars 0.7-0.9 s in 3 runs, cube p = 350 to 900 bars 2.6-3.6 s;
-# one central degree at the ceiling 0.03 s (simplex), 0.02 s (cube).  The
-# rationals have about 2,300 digits (cube) and 1,100 (simplex) at the
-# ceilings, within the 4,300 that Python's default int-to-str prints.
+# p = 34 to 100 bars 0.7-0.9 s in 3 runs, cube p = 350 to 900 bars 2.6-4.1 s
+# in 10 runs; one central degree at the ceiling 0.03 s (simplex), 0.02 s
+# (cube).  The rationals have about 2,300 digits (cube) and 1,100 (simplex)
+# at the ceilings, within the 4,300 that Python's default int-to-str prints.
 EXACT_MAX_BARS = {Measure.SIMPLEX: 100, Measure.CUBE: 900}
 
 

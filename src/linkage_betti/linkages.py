@@ -90,15 +90,6 @@ class LengthVector(namedtuple("LengthVector", "lengths")):
     def n(self) -> int:
         return len(self.lengths)
 
-    def scaled_integers(self) -> tuple[int, ...]:
-        """The lengths rescaled by the denominator lcm, as plain integers.
-
-        Rescaling preserves every short/median/long classification, so all
-        comparisons downstream run on integers.
-        """
-        common = math.lcm(*(l.denominator for l in self.lengths))
-        return tuple(l.numerator * (common // l.denominator) for l in self.lengths)
-
 
 class BettiProfile(NamedTuple):
     """The full Betti vector of one moduli space plus its counting data.
@@ -116,24 +107,17 @@ class BettiProfile(NamedTuple):
     median_counts: tuple[int, ...]
 
 
-def max_length_index(ell: LengthVector) -> int:
-    """1-based index of a maximal length, smallest index on ties."""
-    best = 0
-    for i in range(1, ell.n):
-        if ell.lengths[i] > ell.lengths[best]:
-            best = i
-    return best + 1
-
-
 def _checked_weights(ell: LengthVector) -> tuple[int, ...]:
-    """``ell.scaled_integers()``, refused with DomainError past MAX_BARS bars
+    """The lengths times their denominators' lcm, which keeps their order and
+    every short/median/long class; refused with DomainError past MAX_BARS bars
     or MAX_SUM_BITS bits of half sums, before any subset sum is formed."""
     if ell.n > MAX_BARS:
         raise DomainError(
             f"{ell.n} bars exceed the subset-count limit of {MAX_BARS} "
             "(cost doubles every two bars)"
         )
-    weights = ell.scaled_integers()
+    common = math.lcm(*(l.denominator for l in ell.lengths))
+    weights = tuple(l.numerator * (common // l.denominator) for l in ell.lengths)
     size = sum(weights).bit_length()
     rest = ell.n - 1
     bits = size * (2 ** (rest // 2) + 2 ** (rest - rest // 2))
@@ -188,7 +172,7 @@ def _sums_by_size(weights: list[int]) -> list[list[int]]:
     return [sorted(bucket) for bucket in buckets]
 
 
-def _anchored_class_counts(ell: LengthVector, anchor: int) -> tuple[list[int], list[int]]:
+def _anchored_class_counts(weights: tuple[int, ...], anchor: int) -> tuple[list[int], list[int]]:
     """Short and median subset counts through ``anchor``, bucketed by size.
 
     Meet in the middle (Horowitz-Sahni): the non-anchor weights split into
@@ -199,7 +183,6 @@ def _anchored_class_counts(ell: LengthVector, anchor: int) -> tuple[list[int], l
     once; a size pair whose sums are all short or all long needs none.
     Returns (short, median) with index = subset size.
     """
-    weights = _checked_weights(ell)
     n = len(weights)
     total = sum(weights)
     rest = weights[: anchor - 1] + weights[anchor:]
@@ -244,8 +227,9 @@ def betti_profile(ell: LengthVector) -> BettiProfile:
     """
     n = ell.n
     check_degree(n, 0)
-    anchor = max_length_index(ell)
-    short, median = _anchored_class_counts(ell, anchor)
+    weights = _checked_weights(ell)
+    anchor = weights.index(max(weights)) + 1
+    short, median = _anchored_class_counts(weights, anchor)
     short_counts = tuple(short[p + 1] for p in range(n - 2))
     median_counts = tuple(median[p + 1] for p in range(n - 2))
     values = tuple(

@@ -47,7 +47,6 @@ PUBLIC = {
 }
 
 MODULE_ONLY = {
-    "linkages": ("max_length_index",),
     "simplexes": ("density_sequence", "functional_values"),
     "slicing": ("group_values",),
     "averages": ("subset_classes",),

@@ -8,6 +8,7 @@ Core claims exercised here:
   * the middle degree double-counts its short subsets (pentagon profile (1,8,1));
   * results are invariant under permutation, positive scaling, and the choice
     of maximal anchor;
+  * the anchor is the first longest bar, however the tied lengths are written;
   * genericity detection is exact and agrees with "no median counts";
   * more than MAX_BARS bars, or half sums past MAX_SUM_BITS bits, are
     refused at once instead of hanging or running out of memory.
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from linkage_betti import DomainError, LengthVector, betti, betti_profile, is_generic
 from linkage_betti import linkages
-from linkage_betti.linkages import MAX_BARS, _anchored_class_counts
+from linkage_betti.linkages import MAX_BARS, _anchored_class_counts, _checked_weights
 from oracles import brute_profile, gray_code_class_counts
 
 
@@ -34,10 +35,19 @@ def _random_vector(rnd: random.Random, n: int) -> list[Fraction]:
     return [Fraction(rnd.randint(1, 12), rnd.randint(1, 4)) for _ in range(n)]
 
 
-def test_max_length_index_picks_smallest_argmax():
-    assert betti_profile(LengthVector.of(1, 3, 3)).anchor == 2
-    assert betti_profile(LengthVector.of(5, 1, 1)).anchor == 1
-    assert betti_profile(LengthVector.of(2, 2, 2, 2)).anchor == 1
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_anchor_is_the_first_longest_bar(data):
+    # two or more longest bars, each bar written over its own multiple of its
+    # denominator: "1/2" and "2/4" tie next to "1/3"
+    top = Fraction(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6)))
+    shares = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=7))
+    for _ in range(2):
+        shares.insert(data.draw(st.integers(0, len(shares))), 9)
+    lengths = [top * Fraction(s, 9) for s in shares]
+    scales = data.draw(st.lists(st.integers(1, 5), min_size=len(lengths), max_size=len(lengths)))
+    written = [f"{l.numerator * k}/{l.denominator * k}" for l, k in zip(lengths, scales)]
+    assert betti_profile(LengthVector.of(*written)).anchor == 1 + lengths.index(max(lengths))
 
 
 def test_is_generic_examples():
@@ -64,11 +74,11 @@ def _sign_patterns(n: int):
 
 
 def _count_short(ell: LengthVector, cardinality: int, anchor: int) -> int:
-    return _anchored_class_counts(ell, anchor)[0][cardinality]
+    return _anchored_class_counts(_checked_weights(ell), anchor)[0][cardinality]
 
 
 def _count_median(ell: LengthVector, cardinality: int, anchor: int) -> int:
-    return _anchored_class_counts(ell, anchor)[1][cardinality]
+    return _anchored_class_counts(_checked_weights(ell), anchor)[1][cardinality]
 
 
 def test_count_short_examples():
@@ -215,7 +225,7 @@ def test_anchor_choice_is_irrelevant_on_ties():
         for p in range(n - 2):
             results = set()
             for a in maximal:
-                short, median = _anchored_class_counts(lv, a)
+                short, median = _anchored_class_counts(_checked_weights(lv), a)
                 results.add(short[p + 1] + median[p + 1] + short[n - 2 - p])
             assert len(results) == 1
             assert results.pop() == betti(lv, p)
@@ -282,7 +292,7 @@ def test_counts_match_gray_code_oracle(lengths, data):
     assert profile.median_counts == tuple(median[1 : n - 1])
     anchor = data.draw(st.integers(1, n), label="anchor")
     short, median = gray_code_class_counts(lengths, anchor)
-    assert _anchored_class_counts(lv, anchor) == (short, median)
+    assert _anchored_class_counts(_checked_weights(lv), anchor) == (short, median)
 
 
 def test_counts_match_gray_code_oracle_at_20_bars():
@@ -342,6 +352,6 @@ def test_length_vector_validation():
     assert LengthVector.of("1/3", "0.25").lengths == (Fraction(1, 3), Fraction(1, 4))
 
 
-def test_scaled_integers_clears_denominators():
+def test_checked_weights_clear_denominators():
     lv = LengthVector.of("1/3", "1/4", 2)
-    assert lv.scaled_integers() == (4, 3, 24)
+    assert _checked_weights(lv) == (4, 3, 24)

@@ -8,8 +8,9 @@ Core claims exercised here:
     reduction, homogeneity, perturbation limits, a hypothesis property test);
   * ``slice_ratio`` of the shifted values q - x is a genuine distribution
     function of x, the vertex values repeated or not;
-  * the sums over the two sides of the cut agree exactly, complement and
-    partition-of-unity identities hold exactly;
+  * the sums over the two sides of the cut agree exactly: the residues at the
+    positive poles are 1 minus those at the negative ones, zeros and repeats
+    included; complement and partition-of-unity identities hold exactly;
   * each ``slice_ratio`` call is one lookup of the module's one cached
     function;
   * a sweep whose cost estimate passes the limit is refused at once, whichever
@@ -316,8 +317,9 @@ def test_dispatcher_edge_cases():
 
 
 def test_costly_sweeps_are_refused_before_the_first_residue():
-    # 3,200 values in three groups, either side of the cut evaluated; without
-    # the check each sweep takes about 25 s
+    # 3,200 values in three groups; sign = 1 charges the negative pole, and
+    # sign = -1, with two negative distinct values to one positive, the
+    # positive pole; without the check each sweep takes about 25 s
     for sign in (1, -1):
         q = [Fraction(sign * v) for v in (-1, 1, 2) for _ in range(1067)]
         start = time.perf_counter()
@@ -351,4 +353,12 @@ def test_kernel_properties_on_random_grouped_values(q, factor):
         assert ratio == distinct_slice_ratio(q)
     if any(q):  # an all-zero functional leaves both open sides empty
         assert ratio + slice_ratio([-v for v in q]) == 1
+        # the residues at all the poles add up to 1; zero is never a pole
+        distinct, mults = group_values(q)
+        negative, positive = (
+            sum((_residue(distinct, mults, i) for i, v in enumerate(distinct) if sign * v > 0),
+                Fraction(0))
+            for sign in (-1, 1)
+        )
+        assert positive == 1 - negative == 1 - ratio
     assert slice_ratio([v * factor for v in q]) == ratio
