@@ -31,15 +31,15 @@ expansion like any Q_j.
 ``slice_ratio`` is the one door into the kernel: it groups the values and
 looks the pair (distinct values, multiplicities) up in one LRU-cached
 function.  That function sums the residues at the poles of whichever sign
-has fewer distinct values.  The residues at all the poles add up to 1, as
-the numerator's degree is one less than the denominator's, so when the
-positive poles are summed the fraction is 1 minus their sum.  On the
-vertex values of every anchored subset at n=14 (simplex) and n=16 (cube),
-the benchmark's slice corpora, summing the negative poles alone costs
-1.4-1.6x as much.  No code in the package repeats a kernel call: neither
-exact expectation in ``averages`` calls the kernel, and the ``slice``
-command makes one call per process.  The cache stays because the benchmark
-reads its ``cache_info()``.  All arithmetic is exact rational arithmetic.
+has fewer distinct values, an empty set when the input is one-signed or all
+zero.  The residues at all the poles add up to 1, as the numerator's degree
+is one less than the denominator's, so when the positive poles are summed
+the fraction is 1 minus their sum.  On the vertex values of every anchored
+subset at n=14 (simplex) and n=16 (cube), the benchmark's slice corpora,
+summing the negative poles alone costs 1.4-1.6x as much.  No code in the
+package repeats a kernel call: neither exact expectation in ``averages``
+calls it, and ``slice`` makes one call per process.  The cache stays
+because the benchmark reads its ``cache_info()``.  All arithmetic is exact.
 
 A sweep whose cost estimate (``_check_cost``) passes MAX_SLICE_WORK is
 refused with DomainError before its first residue.  At an estimate of 3e13,
@@ -123,18 +123,14 @@ def _check_cost(distinct: tuple[Fraction, ...], mults: tuple[int, ...], poles: l
 @functools.lru_cache(maxsize=65536)
 def _ratio(distinct: tuple[Fraction, ...], mults: tuple[int, ...]) -> Fraction:
     """Negative-side fraction of grouped values, summed over the poles of the
-    sign with fewer distinct values."""
+    sign with fewer distinct values: none for one-signed or all-zero input."""
     if sum(mults) - 1 < 1:
         raise DomainError("need an ambient simplex dimension of at least 1")
-    # Zero vertex values sit on the cut itself and carry no volume, so "all
-    # values >= 0" still means the negative side is empty and "all <= 0" means
-    # it is everything.
     negatives = [i for i, q in enumerate(distinct) if q < 0]
     positives = [i for i, q in enumerate(distinct) if q > 0]
-    if not negatives:
-        return Fraction(0)
-    if not positives:
-        return Fraction(1)
+    # Zero vertex values sit on the cut and are poles of neither side, so with
+    # no negative value the empty negative side gives 0, and with no positive
+    # value the empty positive side gives 1 - 0.
     flipped = len(negatives) > len(positives)
     poles = positives if flipped else negatives
     _check_cost(distinct, mults, poles)

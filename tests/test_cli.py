@@ -480,10 +480,21 @@ def test_exit_code_2_on_malformed_input(capsys):
         main(["average", "--n", "3", "--p", "0", "--measure", "gaussian"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+    # an empty list entry, a thread count that is not an integer, a bare flag
+    # as the last token, and an exponent that is not an integer
+    for argv in (["betti", "--lengths", "1,,2"],
+                 ["betti", "--lengths", "3,1,1", "--threads", "two"],
+                 ["slice", "--q"], ["slice", "--q", "1e1.5,2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
+    capsys.readouterr()
     # literals whose numerator or denominator Python would refuse to print,
     # refused before Fraction spends seconds building 10**10000000
     for argv in (["slice", "--q", "-1e5000,1"], ["slice", "--q", "1,1e-4300"],
-                 ["betti", "--lengths", "1e10000000,1,1"]):
+                 ["betti", "--lengths", "1e10000000,1,1"],
+                 # an exponent too long for int
+                 ["slice", "--q", "1e" + "9" * 4301 + ",1"]):
         start = time.perf_counter()
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

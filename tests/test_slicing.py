@@ -150,14 +150,14 @@ def test_confluent_matches_triangle_oracle_with_repeats():
         assert slice_ratio(q) == triangle_negative_fraction(*q)
 
 
-def test_slice_cdf_examples():
+def test_shifted_slice_ratio_examples():
     assert _cdf([0, 1], Fraction(1, 3)) == Fraction(1, 3)
     assert _cdf([-1, 1, 2], 0) == Fraction(1, 6)
     assert _cdf([-1, 1, 2], 2) == 1
     assert _cdf([-1, 1, 2], -1) == 0
 
 
-def test_slice_cdf_is_a_distribution_function():
+def test_shifted_slice_ratio_is_a_distribution_function():
     rnd = random.Random(79)
     for _ in range(40):
         q = _random_distinct(rnd, rnd.randint(2, 7))
@@ -170,7 +170,7 @@ def test_slice_cdf_is_a_distribution_function():
         assert _cdf(q, 0) == distinct_slice_ratio(q)
 
 
-def test_slice_cdf_with_repeated_values():
+def test_shifted_slice_ratio_with_repeated_values():
     rnd = random.Random(81)
     for _ in range(40):
         q = _expand(*_random_grouped(rnd))
@@ -287,7 +287,7 @@ def test_perturbation_limit_monotone():
         done += 1
 
 
-def test_dispatcher_routes_agree():
+def test_both_pole_sides_agree():
     rnd = random.Random(113)
     for _ in range(100):
         n = rnd.randint(2, 9)
@@ -307,13 +307,20 @@ def test_dispatcher_routes_agree():
             assert weak_composition_slice_ratio(values) == direct
 
 
-def test_dispatcher_edge_cases():
+def test_one_signed_zero_and_single_value_inputs():
     assert slice_ratio([0, 0, 0]) == 0
     assert slice_ratio([2, 0, 1]) == 0
     assert slice_ratio([-2, 0, -1]) == 1
     assert slice_ratio([Fraction(-1), Fraction(-2)]) == 1
     with pytest.raises(DomainError):
         slice_ratio([Fraction(1)])
+    # 3,201 one-signed values: the side with no value is an empty pole set,
+    # which costs nothing, however costly the other side's sweep would be
+    for sign, expected in ((1, 0), (-1, 1)):
+        q = [Fraction(sign * v) for v in (1, 2, 3) for _ in range(1067)]
+        start = time.perf_counter()
+        assert slice_ratio(q) == expected
+        assert time.perf_counter() - start < 1.0
 
 
 def test_costly_sweeps_are_refused_before_the_first_residue():
