@@ -151,10 +151,13 @@ class AverageReport(NamedTuple):
         return self.binomial - self.exact
 
 
-def _check_exact_size(n: int, measure: Measure) -> None:
+def _checked_measure(n: int, measure: Measure | str) -> Measure:
+    """``Measure(measure)``, refused with DomainError above its ``EXACT_MAX_BARS``."""
+    measure = Measure(measure)
     ceiling = EXACT_MAX_BARS[measure]
     if n > ceiling:
         raise DomainError(f"exact {measure} expectations take at most {ceiling} bars, got {n}")
+    return measure
 
 
 def _irwin_hall_cdf(m: int, k: int) -> Fraction:
@@ -199,18 +202,20 @@ def _anchored_short_simplex(n: int, k: int) -> Fraction:
 
 
 def average_betti_exact(
-    n: int, p: int, measure: Measure, workers: int = 1
+    n: int, p: int, measure: Measure | str, workers: int = 1
 ) -> AverageReport:
     """Exact expected p-th Betti number for n bars under the given measure.
 
     Evaluates the closed forms of the module docstring, neither of which
     calls the slice kernel: one Irwin-Hall CDF for the cube measure, and for
     the simplex two T, each one binomial tail plus n + 1 Horner groups.
-    Refused with DomainError above ``EXACT_MAX_BARS[measure]`` bars.
-    ``workers`` is accepted and ignored; the exact path starts no threads.
+    ``measure`` is a ``Measure`` or its name; any other value raises
+    ValueError before any work.  Refused with DomainError above
+    ``EXACT_MAX_BARS[measure]`` bars.  ``workers`` is accepted and ignored;
+    the exact path starts no threads.
     """
     check_degree(n, p)
-    _check_exact_size(n, measure)
+    measure = _checked_measure(n, measure)
     if measure is Measure.CUBE:
         below = _irwin_hall_cdf(n - 1, p + 1)
         first = math.comb(n - 1, p) * (1 - below)
@@ -241,15 +246,16 @@ class ConvergenceRow(NamedTuple):
 
 
 def convergence_table(
-    p: int, n_min: int, n_max: int, measure: Measure
+    p: int, n_min: int, n_max: int, measure: Measure | str
 ) -> list[ConvergenceRow]:
     """Expected values against the binomial reference for n = n_min..n_max.
 
-    The degree, ``n_min`` and ``n_max`` (against ``EXACT_MAX_BARS``) are
-    checked before the first row, so an empty range is checked too.
+    ``measure`` is a ``Measure`` or its name, else ValueError.  It, the
+    degree, ``n_min`` and ``n_max`` (against ``EXACT_MAX_BARS``) are checked
+    before the first row, so an empty range is checked too.
     """
     check_degree(n_min, p)
-    _check_exact_size(n_max, measure)
+    measure = _checked_measure(n_max, measure)
     rows: list[ConvergenceRow] = []
     previous_gap: Fraction | None = None
     for n in range(n_min, n_max + 1):
@@ -327,7 +333,7 @@ def _exact_cut(anchor: np.ndarray, half: np.ndarray) -> np.ndarray:
 def average_betti_mc(
     n: int,
     p: int,
-    measure: Measure,
+    measure: Measure | str,
     samples: int,
     seed: int,
     workers: int = 1,
@@ -341,17 +347,18 @@ def average_betti_mc(
     in uint32 (``MC_SETUP_BUDGET_BYTES`` keeps S <= 2^22).  Ties and medians
     are probability-zero events in floating point and are ignored.  Chunk
     accumulators are exact integer sums, so the estimate depends only on
-    (seed, samples).  Refused with DomainError, before any set-up, for a bad
-    sample count or seed, and when the pick matrix would exceed
-    ``MC_SETUP_BUDGET_BYTES``.  ``workers`` is accepted and ignored; the
-    chunks run one after another on the calling thread.
+    (seed, samples).  ``measure`` is a ``Measure`` or its name; any other
+    value raises ValueError before any set-up.  Refused with DomainError,
+    before any set-up, for a bad sample count or seed, and when the pick
+    matrix would exceed ``MC_SETUP_BUDGET_BYTES``.  ``workers`` is accepted
+    and ignored; the chunks run one after another on the calling thread.
     """
     _check_budget(samples, seed)
     check_degree(n, p)
+    sampler = sample_unit_simplex if Measure(measure) is Measure.SIMPLEX else sample_unit_cube
     picks = _pick_matrix(n, p)
     import numpy as np
 
-    sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
     tile = max(1, _TILE_BYTES // (8 * picks.shape[1]))
     block = tile * max(1, _BLOCK_ROWS // tile)
 

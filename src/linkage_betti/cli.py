@@ -323,9 +323,7 @@ def _average_row(report) -> dict[str, str | int]:
 
 
 def _cmd_average(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
-    from .simplexes import Measure
-
-    report = _engine("average_betti_exact")(args.n, args.p, Measure(args.measure))
+    report = _engine("average_betti_exact")(args.n, args.p, args.measure)
     row = _average_row(report)
     row["gap_rational"] = _rational_str(report.gap)
     columns = ("n", "p", "measure", "exact_rational", "exact_decimal", "binomial",
@@ -334,13 +332,7 @@ def _cmd_average(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]
 
 
 def _cmd_convergence(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
-    from .simplexes import Measure
-
-    measures = (
-        (Measure.SIMPLEX, Measure.CUBE)
-        if args.measure == "both"
-        else (Measure(args.measure),)
-    )
+    measures = ("simplex", "cube") if args.measure == "both" else (args.measure,)
     convergence_table = _engine("convergence_table")
     tables = [convergence_table(args.p, args.n_min, args.n_max, m) for m in measures]
     rows = [
@@ -359,15 +351,7 @@ def _cmd_convergence(args: argparse.Namespace) -> tuple[tuple[str, ...], list[di
 def _cmd_sample(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
     # read when numpy loads; on a tile's small product OpenBLAS's own threads would only spin
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .simplexes import Measure
-
-    estimate = _engine("average_betti_mc")(
-        args.n,
-        args.p,
-        Measure(args.measure),
-        args.samples,
-        args.seed,
-    )
+    estimate = _engine("average_betti_mc")(args.n, args.p, args.measure, args.samples, args.seed)
     row = {
         "n": args.n,
         "p": args.p,
@@ -415,7 +399,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

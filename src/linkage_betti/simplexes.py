@@ -52,14 +52,16 @@ def density_sequence(subset: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, accumulate(subset), range(1, len(subset) + 1)))
 
 
-def functional_values(subset: tuple[int, ...], measure: Measure) -> tuple[Fraction, ...]:
+def functional_values(subset: tuple[int, ...], measure: Measure | str) -> tuple[Fraction, ...]:
     """Values of the subset's signed-sum functional at the n+1 region vertices, exactly.
 
     With h_i = |J intersect {1..i}|, the value at vertex i >= 1 (index i of
     the tuple) is (2 h_i - i) / i for the simplex measure and 2 h_i - i for
     the cube measure; vertex 0 gives 0 in both.  Taking the complement of
-    the subset negates every value.
+    the subset negates every value.  ``measure`` is a ``Measure`` or its
+    name; any other value raises ValueError before any work.
     """
+    measure = Measure(measure)
     if not subset:
         raise DomainError("need a nonempty ambient index set")
     hits = enumerate(accumulate(subset), 1)

@@ -27,6 +27,8 @@ Core claims exercised here:
   * per-term bounds and anchor-relabeling invariance hold on the computed
     range;
   * size ceilings refuse oversized exact and Monte Carlo requests at once;
+  * every engine reads a measure's name as its member and refuses any other
+    value with ValueError, the Monte Carlo path before its set-up;
   * the tiled Monte Carlo count reproduces pinned estimates and the earlier
     blockwise kernel of ``tests/oracles.py`` exactly, chunk stream by chunk
     stream, hands BLAS each chunk's own row tiles while it streams the chunk
@@ -67,6 +69,7 @@ from linkage_betti.sampling import (
     sample_unit_cube,
     sample_unit_simplex,
 )
+from linkage_betti.simplexes import functional_values
 from linkage_betti.slicing import _ratio
 
 from oracles import (
@@ -345,6 +348,28 @@ def test_mc_refuses_bad_budgets_before_allocating(samples, seed, workers):
     with pytest.raises(DomainError):
         average_betti_mc(21, 9, Measure.SIMPLEX, samples, seed, workers=workers)
     assert time.perf_counter() - start < 0.25
+
+
+def test_a_measure_name_reads_as_its_member(monkeypatch):
+    engines = {
+        "average_betti_exact": lambda m: average_betti_exact(7, 2, m),
+        "convergence_table": lambda m: convergence_table(1, 4, 9, m),
+        "average_betti_mc": lambda m: average_betti_mc(6, 1, m, 4096, 3),
+        "functional_values": lambda m: functional_values((1, 0, 1, 1), m),
+    }
+    for name, call in engines.items():
+        for measure in Measure:
+            assert call(measure.value) == call(measure), (name, measure)
+        for bad in ("both", "Simplex", None):
+            with pytest.raises(ValueError, match="not a valid Measure"):
+                call(bad)
+
+    def no_set_up(n, p):
+        raise AssertionError("the pick matrix was built for an unknown measure")
+
+    monkeypatch.setattr(averages, "_pick_matrix", no_set_up)
+    with pytest.raises(ValueError, match="not a valid Measure"):
+        average_betti_mc(6, 1, "bogus", 10, 1)
 
 
 def test_convergence_table_shape_and_ratios():
