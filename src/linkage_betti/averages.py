@@ -55,18 +55,18 @@ The exact path is rational arithmetic end to end and starts no threads; its
 cost is capped per measure by ``EXACT_MAX_BARS``.  The Monte Carlo path draws
 and sorts each chunk's length vectors in blocks of whole row tiles
 (``_BLOCK_ROWS`` rows or one tile), each draw continuing the chunk's stream,
-and counts short subsets in L2-sized row tiles of a 0/1 pick matrix product:
-J is short when fl(a + s) < h, a the anchor, s the float sum of J's other
-members, h half the total.  Rounding to nearest is monotone, so for floats
-s >= 0 that holds exactly when s < t, the least float t >= 0 with
-fl(a + t) >= h; that one cut per sample (not fl(h - a), wrong at near-ties)
-decides every sum the product returns as fl(a + s) < h would.  Those sums
-follow OpenBLAS's grouping for each tile shape: a one-row tile is a
-matrix-vector product, and tiles of other row counts round some sums
-differently, so the regression pins, not this argument, guard a change of
-``_TILE_BYTES``.  Only that path uses numpy, so ``_pick_matrix`` and
-``average_betti_mc`` import it when they run; the exact path and the CLI
-commands built on it never load numpy.
+and counts short subsets in L2-sized row tiles of one product with a signed
+matrix, +1 for the anchor a and J's other members and -1 for the rest:
+d = a + sum_J x - sum_rest x, and J is short exactly when d < 0 (a median
+subset, d = 0, is not).  Each +-1 product is exact, so in any summation order
+the rounded d lies within gamma_n T of the exact one, T the row total and
+gamma_n = n u / (1 - n u), u = 2^-53.  With B = 2 gamma_n times the largest
+total in the block, d < -B counts as short, d > B as not, and each d within
+B of zero takes the sign of its ``math.fsum``, which rounds correctly.  So an
+estimate depends on the drawn floats alone, not on the tile shape, the block
+size or how BLAS groups the terms.  Only that path uses numpy, so
+``_signed_matrix`` and ``average_betti_mc`` import it when they run; the
+exact path and the CLI commands built on it never load numpy.
 """
 
 from __future__ import annotations
@@ -267,9 +267,10 @@ def convergence_table(
     return rows
 
 
-# Bytes of the 0/1 float64 pick matrix ``average_betti_mc`` may build before
-# its first sample: every degree up to 21 bars fits (51 MiB at n = 21, p = 9,
-# for a 60 MiB allocation peak), central degrees at 22 bars (104 MiB) do not.
+# Bytes of the signed matrix's n - 1 member rows ``average_betti_mc`` may
+# build before its first sample (plus the anchor row and up to 7 padding
+# columns): every degree up to 21 bars fits (51 MiB at n = 21, p = 9, a
+# 62 MiB allocation peak), central degrees at 22 bars (104 MiB) do not.
 MC_SETUP_BUDGET_BYTES = 2**26
 
 # Bytes of float64 sums in one row tile, sized so that they stay in L2.
@@ -278,10 +279,11 @@ _TILE_BYTES = 2**19
 _BLOCK_ROWS = 4096
 
 
-def _pick_matrix(n: int, p: int) -> np.ndarray:
-    """0/1 matrix, n - 1 by S, with one column per contributing subset that
-    marks its members among the n - 1 bars after the anchor.  Refused with
-    DomainError, before numpy loads, above ``MC_SETUP_BUDGET_BYTES``."""
+def _signed_matrix(n: int, p: int) -> np.ndarray:
+    """n rows of +-1, one column per contributing subset with +1 for the anchor
+    and the subset's members, then all-+1 columns up to a multiple of 8.
+    Refused with DomainError, before numpy loads, when its n - 1 member rows
+    pass ``MC_SETUP_BUDGET_BYTES``."""
     # p = 0 and p = n - 3 are the cheapest degrees, past the budget from 258
     # bars on; refusing there on n alone spares C(n - 1, p) at large n
     cheapest = (1 + (n - 1) * (n - 2) // 2) * (n - 1) * 8
@@ -300,34 +302,18 @@ def _pick_matrix(n: int, p: int) -> np.ndarray:
         )
     import numpy as np
 
-    picks = np.zeros((n - 1, sum(counts)))
+    subsets = sum(counts)
+    signed = np.full((n, -(-subsets // 8) * 8), -1.0)
+    signed[0] = 1.0
+    signed[:, subsets:] = 1.0
     for size, count, start in zip(sizes, counts, (0, counts[0])):
         # int16 holds every slot: n <= 257 under MC_SETUP_BUDGET_BYTES
-        combos = itertools.chain.from_iterable(itertools.combinations(range(n - 1), size))
+        combos = itertools.chain.from_iterable(itertools.combinations(range(1, n), size))
         members = np.fromiter(combos, np.int16, count * size).reshape(count, size)
         columns = np.arange(start, start + count)
         for slot in members.T:
-            picks[slot, columns] = 1.0
-    return picks
-
-
-def _exact_cut(anchor: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Per element, the least float t >= 0 with fl(anchor + t) >= half."""
-    import numpy as np
-
-    def reaches(bits: np.ndarray) -> np.ndarray:
-        return anchor + bits.view(np.float64) >= half  # negative bits are NaN
-
-    # bisect on bits within 2 floats of where sums round up to half, else 0..half
-    guess = (half - anchor) - (half - np.nextafter(half, 0.0)) * 0.5
-    start = np.maximum(guess, 0.0).view(np.int64)
-    lo = np.where(reaches(start - 2), -1, start - 2)
-    hi = np.where(reaches(start + 2), start + 2, half.view(np.int64))
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        up = reaches(mid)
-        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-    return hi.view(np.float64)
+            signed[slot, columns] = 1.0
+    return signed
 
 
 def average_betti_mc(
@@ -342,29 +328,33 @@ def average_betti_mc(
 
     Each sample is sorted decreasingly; the largest bar is the anchor and the
     per-instance count reduces to short subsets through it at the two
-    contributing cardinalities, one ``_pick_matrix`` column each, counted
-    against the sample's cut in row tiles of ``_TILE_BYTES`` of sums, per row
-    in uint32 (``MC_SETUP_BUDGET_BYTES`` keeps S <= 2^22).  Ties and medians
-    are probability-zero events in floating point and are ignored.  Chunk
+    contributing cardinalities, one ``_signed_matrix`` column each, counted by
+    the sign of their exact sums (module docstring) in row tiles of
+    ``_TILE_BYTES`` of sums.  A median subset is not short.  Chunk
     accumulators are exact integer sums, so the estimate depends only on
     (seed, samples).  ``measure`` is a ``Measure`` or its name; any other
     value raises ValueError before any set-up.  Refused with DomainError,
-    before any set-up, for a bad sample count or seed, and when the pick
-    matrix would exceed ``MC_SETUP_BUDGET_BYTES``.  ``workers`` is accepted
-    and ignored; the chunks run one after another on the calling thread.
+    before any set-up, for a bad sample count or seed, and when the signed
+    matrix's member rows would pass ``MC_SETUP_BUDGET_BYTES``.  ``workers`` is
+    accepted and ignored; the chunks run one after another on this thread.
     """
     _check_budget(samples, seed)
     check_degree(n, p)
     sampler = sample_unit_simplex if Measure(measure) is Measure.SIMPLEX else sample_unit_cube
-    picks = _pick_matrix(n, p)
+    signed = _signed_matrix(n, p)
     import numpy as np
 
-    tile = max(1, _TILE_BYTES // (8 * picks.shape[1]))
+    tile = max(1, _TILE_BYTES // (8 * signed.shape[1]))
     block = tile * max(1, _BLOCK_ROWS // tile)
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+    # a row's 0/1 flag bytes as words, summed in runs of at most 255 words so
+    # that no byte carries; each sum's bytes then add up through 16-bit lanes
+    runs = np.arange(0, signed.shape[1] // 8, 255)
+    low, ones16 = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0001000100010001)
 
     def worker(rng: np.random.Generator, count: int) -> tuple[int, int]:
-        sums = np.empty((min(tile, count), picks.shape[1]))
-        short = np.empty(sums.shape, dtype=bool)
+        d = np.empty((min(tile, count), signed.shape[1]))
+        flags = np.empty(d.shape, dtype=bool)
         total = total_sq = 0
         for first in range(0, count, block):
             size = min(block, count - first)
@@ -372,14 +362,24 @@ def average_betti_mc(
             np.negative(points, out=points)
             points.sort(axis=1)
             np.negative(points, out=points)
-            cut = _exact_cut(points[:, 0], points.sum(axis=1) * 0.5)[:, None]
-            per_sample = np.empty(size, dtype=np.int64)
+            bound = 2 * gamma * float(points.sum(axis=1).max())
+            lanes, not_long = np.empty((size, len(runs)), dtype=np.uint64), 0
             for start in range(0, size, tile):
                 m = min(tile, size - start)
                 rows = slice(start, start + m)
-                np.matmul(points[rows, 1:], picks, out=sums[:m])
-                np.less(sums[:m], cut[rows], out=short[:m])
-                per_sample[rows] = np.add.reduce(short[:m].view(np.uint8), axis=1, dtype=np.uint32)
+                np.matmul(points[rows], signed, out=d[:m])
+                np.less(d[:m], -bound, out=flags[:m])
+                np.add.reduceat(flags[:m].view(np.uint64), runs, axis=1, out=lanes[rows])
+                not_long += np.count_nonzero(np.less_equal(d[:m], bound, out=flags[:m]))
+            lanes = (lanes & low) + ((lanes >> 8) & low)
+            per_sample = ((lanes * ones16) >> 48).sum(axis=1).view(np.int64)
+            if not_long > per_sample.sum():  # some d within B of zero: recount the block
+                for start in range(0, size, tile):
+                    rows = slice(start, min(start + tile, size))
+                    sums = points[rows] @ signed
+                    per_sample[rows] = np.count_nonzero(sums < -bound, axis=1)
+                    for i, j in np.argwhere(np.abs(sums) <= bound):
+                        per_sample[start + i] += math.fsum(points[start + i] * signed[:, j]) < 0
             total += int(per_sample.sum())
             total_sq += int(np.dot(per_sample, per_sample))
         return total, total_sq

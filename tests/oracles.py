@@ -20,7 +20,8 @@ weak-composition sum for repeated ones.  The Betti oracles re-derive subset
 counts by the most naive enumeration possible and by a Gray-code walk over
 every subset.  ``blockwise_mc_counts`` is the Monte Carlo count that the
 tiled kernel of ``average_betti_mc`` replaced: 128-subset blocks, each summed
-over a whole chunk at once.  ``mc_slice_ratio`` estimates a slice ratio by
+over a whole chunk at once.  ``exact_mc_counts`` counts the same subsets of
+given length vectors by exact ``Fraction`` sums.  ``mc_slice_ratio`` estimates a slice ratio by
 sampling the simplex in the package's seeded chunks.  The vertex helpers
 spell out the sorted-region picture that ``simplexes.functional_values``
 condenses, and ``members`` builds the 0/1 subset tuples it takes.
@@ -350,6 +351,27 @@ def blockwise_mc_counts(
             sums = anchor[:, None] + rest @ block.T
             per_sample += (sums < half[:, None]).sum(axis=1)
     return per_sample
+
+
+def exact_mc_counts(points: np.ndarray, p: int) -> list[int]:
+    """Per-row counts of short subsets through the longest bar, by exact sums.
+
+    Each row of ``points`` is a length vector; its largest entry is the
+    anchor.  An anchored subset of cardinality p + 1 or n - 2 - p is short
+    when the ``Fraction`` sum of its members is below that of the other bars,
+    so a median subset is not short.
+    """
+    counts = []
+    for row in points:
+        lengths = sorted((Fraction(float(x)) for x in row), reverse=True)
+        total = sum(lengths)
+        hits = 0
+        for cardinality in (p + 1, len(lengths) - 2 - p):
+            for others in itertools.combinations(lengths[1:], cardinality - 1):
+                inside = lengths[0] + sum(others)
+                hits += inside < total - inside
+        counts.append(hits)
+    return counts
 
 
 def mc_slice_ratio(

@@ -31,8 +31,10 @@ Core claims exercised here:
     value with ValueError, the Monte Carlo path before its set-up;
   * the tiled Monte Carlo count reproduces pinned estimates and the earlier
     blockwise kernel of ``tests/oracles.py`` exactly, chunk stream by chunk
-    stream, hands BLAS each chunk's own row tiles while it streams the chunk
-    in blocks, and stays within bounded allocation peaks.
+    stream, gives the same estimate whatever its tile and block sizes, counts
+    each sample's short subsets as the exact ``Fraction`` oracle does, at
+    and next to exact medians too, and stays within bounded allocation
+    peaks.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkage_betti import (
@@ -76,6 +78,7 @@ from oracles import (
     blockwise_mc_counts,
     enumerated_class_sums,
     eulerian_numbers,
+    exact_mc_counts,
     expected_short_subsets,
     irwin_hall_cdf,
     members,
@@ -318,6 +321,10 @@ def test_mc_setup_budget_refuses_before_allocating():
     # every degree up to 21 bars fits; n = 21, p = 9 is the largest
     rows = math.comb(20, 9) + math.comb(20, 10)
     assert rows * 20 * 8 <= MC_SETUP_BUDGET_BYTES
+    # central degrees at 22 bars do not: 104 MiB of member rows
+    for p in (9, 10):
+        with pytest.raises(DomainError, match="needs 104 MiB of subset rows"):
+            average_betti_mc(22, p, Measure.SIMPLEX, 1, 0)
 
 
 def test_mc_bar_counts_past_every_degree_are_refused_on_n_alone():
@@ -333,6 +340,9 @@ def test_mc_bar_counts_past_every_degree_are_refused_on_n_alone():
         average_betti_mc(257, 1, Measure.CUBE, 1, 0)
     assert str(refused.value) == (
         "Monte Carlo at n=257, p=1 needs 5398 MiB of subset rows, above the 64 MiB budget")
+    # the budget counts member rows alone: with its anchor row and padding
+    # columns the n = 257, p = 0 matrix passes 64 MiB, and it is admitted
+    assert average_betti_mc(257, 0, Measure.CUBE, 1, 0).estimate == 1.0
     start = time.perf_counter()
     with pytest.raises(DomainError, match="64 MiB budget"):
         average_betti_mc(10**6, 5 * 10**5, Measure.SIMPLEX, 1, 0)
@@ -365,9 +375,9 @@ def test_a_measure_name_reads_as_its_member(monkeypatch):
                 call(bad)
 
     def no_set_up(n, p):
-        raise AssertionError("the pick matrix was built for an unknown measure")
+        raise AssertionError("the signed matrix was built for an unknown measure")
 
-    monkeypatch.setattr(averages, "_pick_matrix", no_set_up)
+    monkeypatch.setattr(averages, "_signed_matrix", no_set_up)
     with pytest.raises(ValueError, match="not a valid Measure"):
         average_betti_mc(6, 1, "bogus", 10, 1)
 
@@ -510,7 +520,7 @@ def test_mc_regression_pins():
     # column), n = 2p + 3 (one family twice; n = 3 is both) and budgets that
     # are multiples of neither CHUNK_SIZE nor the tile rows; then one-row
     # tiles (n = 19), a mean count above 2^16 (n = 21) and 852 of 5,000 rows
-    # whose anchor reaches half the total, so their cut is 0 (n = 4)
+    # whose anchor reaches half the total, so no subset is short (n = 4)
     for args, (estimate, stderr) in MC_PINS:
         n, p, measure, samples, seed = args
         assert average_betti_mc(*args) == MonteCarloEstimate(
@@ -526,13 +536,12 @@ def test_mc_regression_pins():
         (7, 0, Measure.CUBE, 3000),
         (9, 3, Measure.SIMPLEX, 3000),
         (21, 9, Measure.SIMPLEX, 5),
-        # one tile is longer than a block of rows: 15 columns, 4,369-row tiles
         (6, 1, Measure.CUBE, 10_000),
         # one block of 49 82-row tiles, one whole tile, then a one-row tile
         (12, 4, Measure.SIMPLEX, 49 * 82 + 82 + 1),
     ],
 )
-def test_mc_matches_the_blockwise_oracle(n, p, measure, samples, monkeypatch):
+def test_mc_matches_the_blockwise_oracle(n, p, measure, samples):
     seed = 17
     sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
     # chunk k holds CHUNK_SIZE samples, the last one what is left
@@ -550,69 +559,99 @@ def test_mc_matches_the_blockwise_oracle(n, p, measure, samples, monkeypatch):
         samples=samples,
         seed=seed,
     )
-    matmul, operands = np.matmul, []
-
-    def recording_matmul(rows, picks, out):
-        operands.append((rows.shape, rows.strides))
-        return matmul(rows, picks, out=out)
-
-    monkeypatch.setattr(np, "matmul", recording_matmul)
     assert average_betti_mc(n, p, measure, samples, seed) == expected
-    # BLAS rounds by tile shape, so blocks keep every tile of the whole chunk:
-    # same rows, each a view with row stride n
-    columns = math.comb(n - 1, p) + math.comb(n - 1, n - 3 - p)
-    tile = max(1, averages._TILE_BYTES // (8 * columns))
-    assert operands == [
-        ((min(tile, count - start), n - 1), (8 * n, 8))
-        for _, count in chunks
-        for start in range(0, count, tile)
-    ]
-    if n == 21:
-        # one subset-sum row fills a tile, so each tile is a single sample
-        assert averages._TILE_BYTES // (8 * columns) == 0
-    if n == 6:
-        assert tile == 4369 > averages._BLOCK_ROWS
-    if samples == 49 * 82 + 82 + 1:
-        assert tile * (averages._BLOCK_ROWS // tile) == 49 * 82
 
 
-_FINITE = dict(allow_nan=False, allow_infinity=False)
+@pytest.mark.parametrize(
+    "n, p, measure, samples",
+    [
+        (12, 4, Measure.SIMPLEX, CHUNK_SIZE + 1001),
+        (14, 3, Measure.CUBE, 5000),
+        (6, 1, Measure.CUBE, 10_000),
+        # one subset-sum row fills a tile at the default _TILE_BYTES
+        (19, 7, Measure.SIMPLEX, 40),
+    ],
+)
+def test_mc_estimate_is_independent_of_tiles_and_blocks(n, p, measure, samples, monkeypatch):
+    expected = average_betti_mc(n, p, measure, samples, 29)
+    # _TILE_BYTES = 8 makes every tile one row (a matrix-vector product);
+    # _BLOCK_ROWS = 77 cuts blocks that are neither tiles nor chunks, and
+    # 2**20 bytes with 77 rows makes tiles longer than a block
+    for tile_bytes, block_rows in ((8, 4096), (8, 77), (2**16, 77), (2**20, 77), (2**20, 10**5)):
+        monkeypatch.setattr(averages, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(averages, "_BLOCK_ROWS", block_rows)
+        assert average_betti_mc(n, p, measure, samples, 29) == expected, (tile_bytes, block_rows)
 
 
-@st.composite
-def _cut_case(draw):
-    """(anchor, half, x): anchor >= 0, half > 0, x >= 0 drawn near the cut."""
-    anchor = draw(st.floats(0, 1e300, **_FINITE))
-    kind = draw(st.sampled_from(["any", "ulps above", "far above", "at most"]))
-    if kind == "any":
-        half = draw(st.floats(0, 1e300, **_FINITE))
-    elif kind == "ulps above":
-        half = anchor
-        for _ in range(draw(st.integers(1, 8))):
-            half = math.nextafter(half, math.inf)
-    elif kind == "far above":  # anchor much larger than half - anchor
-        half = anchor * (1 + draw(st.floats(2**-52, 2**-20)))
-    else:
-        half = draw(st.floats(0, anchor, **_FINITE))
-    assume(half > 0)
-    return anchor, half, draw(st.sampled_from(["cut", "prev", "next", "zero", "any"]))
+def _counts_per_row(n, p, measure, rows, monkeypatch) -> list[int]:
+    """The counts ``average_betti_mc`` makes of the given length vectors, one
+    chunk of one row each, drawn in order from the measure's sampler."""
+    feed = iter(rows)
+    name = "sample_unit_simplex" if measure is Measure.SIMPLEX else "sample_unit_cube"
+    monkeypatch.setattr(averages, name, lambda rng, count, n: np.array([next(feed)]))
+    counts: list[int] = []
+
+    def one_row_chunks(worker, samples, seed):
+        parts = [worker(None, 1) for _ in range(samples)]
+        counts.extend(total for total, _ in parts)
+        return parts
+
+    monkeypatch.setattr(averages, "map_chunks", one_row_chunks)
+    average_betti_mc(n, p, measure, len(rows), 0)
+    return counts
 
 
-@settings(max_examples=300, deadline=None)
-@given(cases=st.lists(_cut_case(), min_size=1, max_size=20), data=st.data())
-def test_exact_cut_splits_the_sums_like_the_rounded_sum(cases, data):
-    anchor = np.array([a for a, _, _ in cases])
-    half = np.array([h for _, h, _ in cases])
-    for (a, h, which), t in zip(cases, averages._exact_cut(anchor, half)):
-        assert t >= 0 and (t == 0) == (a >= h)
-        x = {
-            "cut": t,
-            "prev": np.nextafter(t, 0.0),
-            "next": np.nextafter(t, np.inf),
-            "zero": np.float64(0.0),
-            "any": np.float64(data.draw(st.floats(0, h, **_FINITE))),
-        }[which]
-        assert (a + x < h) == (x < t)
+@pytest.mark.parametrize("measure", list(Measure))
+@pytest.mark.parametrize("n, p", [(4, 0), (6, 1), (8, 2)])
+def test_mc_counts_match_the_exact_oracle(n, p, measure, monkeypatch):
+    sampler = sample_unit_simplex if measure is Measure.SIMPLEX else sample_unit_cube
+    rows = sampler(np.random.default_rng([n, p]), 300, n)
+    assert _counts_per_row(n, p, measure, rows, monkeypatch) == exact_mc_counts(rows, p)
+
+
+def _near_median_rows(rng: np.random.Generator, n: int, p: int, count: int) -> np.ndarray:
+    """Rows of sixteenths, full of exact medians, then as many rows in which
+    one anchored subset J misses a median by a bar of 2^-70 alone.  There
+    the other bars lie in [1/4, 1/2), one non-member is moved so that the
+    anchor is exactly the rest's sum less J's other members, and the tiny
+    bar joins J or the rest; float sums of such a row round by about 2^-53."""
+    rows = [rng.integers(1, 16, n) / 16 for _ in range(count)]
+    while len(rows) < 2 * count:
+        others = [Fraction(x) for x in 0.25 + rng.random(n - 2) / 4]
+        size = int(rng.choice([p, n - 3 - p]))
+        tiny_in_j = min(size, int(rng.integers(2)))
+        members = size - tiny_in_j  # J's bars in [1/4, 1/2)
+        target = sum(others[members:]) - sum(others[:members])
+        others[-1] -= target - Fraction(float(target))
+        if target > 0.5:
+            rows.append(np.array([float(target), *map(float, others), 2.0**-70]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n, p", [(5, 0), (6, 1), (7, 1)])
+def test_mc_settles_near_medians_by_exact_sums(n, p, monkeypatch):
+    rows = _near_median_rows(np.random.default_rng(n), n, p, 60)
+    expected = exact_mc_counts(rows, p)
+    fsum, rechecks = math.fsum, []
+
+    def counting_fsum(values):
+        rechecks.append(1)
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    # through one estimate, in one tile of every row and then in tiles of one
+    # to four rows and blocks of about ten ...
+    for tile_bytes, block_rows in ((averages._TILE_BYTES, averages._BLOCK_ROWS), (256, 10)):
+        monkeypatch.setattr(averages, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(averages, "_BLOCK_ROWS", block_rows)
+        feed = iter(rows)
+        monkeypatch.setattr(averages, "sample_unit_cube", lambda rng, count, n: np.array(
+            [next(feed) for _ in range(count)]))
+        estimate = average_betti_mc(n, p, Measure.CUBE, len(rows), 0)
+        assert estimate.estimate == sum(expected) / len(rows)
+    assert rechecks
+    # ... and row by row
+    assert _counts_per_row(n, p, Measure.CUBE, rows, monkeypatch) == expected
 
 
 def _allocation_peak(*args, **kwargs) -> int:

@@ -14,7 +14,9 @@ Core claims exercised here:
   * each ``slice_ratio`` call is one lookup of the module's one cached
     function;
   * a sweep whose cost estimate passes the limit is refused at once, whichever
-    side of the cut is summed.
+    side of the cut is summed; the estimate is pinned on a few inputs, each
+    admitted at a limit equal to it and refused one below, and printed in the
+    refusal message.
 """
 
 from __future__ import annotations
@@ -333,6 +335,38 @@ def test_costly_sweeps_are_refused_before_the_first_residue():
         with pytest.raises(DomainError, match="slice cost limit"):
             slice_ratio(q)
         assert time.perf_counter() - start < 1.0
+
+
+def test_cost_refusal_prints_the_estimate():
+    q = [Fraction(v) for v in (1, -1, -2) for _ in range(1067)]
+    with pytest.raises(DomainError) as refused:
+        slice_ratio(q)
+    assert str(refused.value) == (
+        "3201 vertex values (3 distinct, 7469 bits in all) exceed the slice cost "
+        "limit (2.5e+14 > 3e+13)"
+    )
+
+
+_FIVE_DISTINCT = [3, 3, 3, Fraction(5, 7), -1, -1, Fraction(-4, 9), -2, -2, -2, -2]
+
+
+# (values, pole indices among the grouped values, the estimate for them)
+@pytest.mark.parametrize("values, poles, estimate", [
+    ([1] * 1067 + [-1] * 1067 + [-2] * 1067, [0], 254761095256360),
+    ([1] * 1067 + [-1] * 1067 + [-2] * 1067, [1, 2], 509522190512720),
+    (_FIVE_DISTINCT, [2, 3, 4], 646310),
+    (_FIVE_DISTINCT, [0, 1], 265710),
+    ([-1, 1, 2], [2], 784),
+])
+def test_the_cost_check_admits_its_own_estimate_and_nothing_more(
+    values, poles, estimate, monkeypatch
+):
+    distinct, mults = group_values(values)
+    monkeypatch.setattr(slicing, "MAX_SLICE_WORK", estimate)
+    slicing._check_cost(distinct, mults, poles)
+    monkeypatch.setattr(slicing, "MAX_SLICE_WORK", estimate - 1)
+    with pytest.raises(DomainError, match="slice cost limit"):
+        slicing._check_cost(distinct, mults, poles)
 
 
 _VALUES = st.fractions(min_value=-6, max_value=6, max_denominator=6)
