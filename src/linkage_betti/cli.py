@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, digit_limit, exact_rational
 
 __all__ = ["main"]
 
@@ -50,17 +50,12 @@ def _engine(name: str):
     return getattr(sys.modules[__name__], name)
 
 
-def _digit_limit() -> int:
-    """Most digits ``str`` gives an integer (Python's default where no limit is set)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-
-
 def _rational_str(x: Fraction) -> str:
     """``str(x)``, or DomainError when Python refuses to print that many digits."""
     try:
         return str(x)
     except ValueError:
-        raise DomainError(f"result has more than {_digit_limit()} digits to print") from None
+        raise DomainError(f"result has more than {digit_limit()} digits to print") from None
 
 
 def decimal_str(x: Fraction) -> str:
@@ -120,35 +115,11 @@ _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
 # argument parsing
 
 
-def _literal_digits(text: str) -> int:
-    """Most digits the numerator or denominator of ``Fraction(text)`` has before reduction.
-
-    Read from the literal's digits and exponent alone: ``Fraction("1e10000000")``
-    takes seconds to build a number that could never be printed.  Text that
-    is not a literal may read anything; ``Fraction`` refuses it afterwards.
-    """
-    body = text.replace("_", "").strip().lstrip("+-")
-    if "/" in body:
-        return max(len(part.strip().lstrip("0")) for part in body.split("/"))
-    mantissa, _, exponent = body.lower().partition("e")
-    whole, _, decimals = mantissa.partition(".")
-    try:
-        shift = int(exponent or "0") - len(decimals)
-    except ValueError:  # not an integer, or one that is itself too long
-        return len(exponent)
-    significant = len((whole + decimals).lstrip("0"))
-    return max(significant, significant + shift, 1 - shift)
-
-
 def _rational(text: str) -> Fraction:
-    from fractions import Fraction
-
-    if _literal_digits(text) > _digit_limit():
-        raise argparse.ArgumentTypeError(
-            f"numerator or denominator past {_digit_limit()} digits: {text!r}"
-        )
     try:
-        return Fraction(text)
+        return exact_rational(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 

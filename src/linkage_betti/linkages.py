@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import DomainError, check_degree
+from .errors import DomainError, check_degree, exact_rational
 
 __all__ = [
     "LengthVector",
@@ -73,18 +73,9 @@ class LengthVector(namedtuple("LengthVector", "lengths")):
 
     @classmethod
     def of(cls, *lengths: Fraction | int | str) -> "LengthVector":
-        """Build from ints, exact decimal/ratio strings, or Fractions.
-
-        Floats are rejected on purpose: their binary expansions would leak
-        rounding into an otherwise exact pipeline.  Pass "0.3" or
-        Fraction(3, 10) instead of 0.3.
-        """
-        converted = []
-        for l in lengths:
-            if isinstance(l, float):
-                raise TypeError("floats are not exact; pass a string or Fraction")
-            converted.append(Fraction(l))
-        return cls(tuple(converted))
+        """Build from ints, Fractions or exact decimal/ratio text, each read by
+        ``errors.exact_rational``: pass "0.3" or Fraction(3, 10), not the float 0.3."""
+        return cls(tuple(map(exact_rational, lengths)))
 
     @property
     def n(self) -> int:

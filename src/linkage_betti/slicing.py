@@ -55,7 +55,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, exact_rational
 
 __all__ = [
     "group_values",
@@ -67,8 +67,9 @@ MAX_SLICE_WORK = 3 * 10**13
 
 
 def group_values(values: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """Distinct vertex values in strictly decreasing order, and their multiplicities."""
-    vals = tuple(Fraction(v) for v in values)
+    """Distinct vertex values in strictly decreasing order, and their
+    multiplicities; each value is read by ``errors.exact_rational``."""
+    vals = tuple(map(exact_rational, values))
     if not vals:
         raise DomainError("need at least one value")
     counts = Counter(vals)
@@ -142,6 +143,5 @@ def slice_ratio(values: Iterable[Fraction]) -> Fraction:
     """Fraction of the simplex's volume where the functional is negative.
 
     ``slice_ratio([q - x for q in values])`` is the distribution function at x
-    of the functional under the uniform law on the simplex.
-    """
+    of the functional under the uniform law on the simplex.  A float raises TypeError."""
     return _ratio(*group_values(values))

@@ -33,8 +33,8 @@ Core claims exercised here:
     blockwise kernel of ``tests/oracles.py`` exactly, chunk stream by chunk
     stream, gives the same estimate whatever its tile and block sizes, counts
     each sample's short subsets as the exact ``Fraction`` oracle does, at
-    and next to exact medians too, and stays within bounded allocation
-    peaks.
+    and next to exact medians too, also when the tile product errs by as much
+    as any summation order may, and stays within bounded allocation peaks.
 """
 
 from __future__ import annotations
@@ -650,6 +650,38 @@ def test_mc_settles_near_medians_by_exact_sums(n, p, monkeypatch):
         estimate = average_betti_mc(n, p, Measure.CUBE, len(rows), 0)
         assert estimate.estimate == sum(expected) / len(rows)
     assert rechecks
+    # ... and row by row
+    assert _counts_per_row(n, p, Measure.CUBE, rows, monkeypatch) == expected
+
+
+@pytest.mark.parametrize("n, p, row", [(6, 1, (5, 4, 3, 3, 2, 1)),
+                                       (8, 2, (7, 5, 4, 3, 3, 2, 1, 1))])
+def test_mc_bound_covers_the_worst_product_error(n, p, row, monkeypatch):
+    """Each row is a permutation of one row of sixteenths with exact median
+    subsets, so every block has the one total T.  The tile product is exact
+    but then reads each median or long sum within 0.99 gamma_n T of zero as
+    -0.99 gamma_n T, an error a BLAS may make in any summation order; the
+    bound B = 2 gamma_n T must still send those sums to the exact recount."""
+    rows = np.array([np.random.default_rng([n, i]).permutation(row) for i in range(40)]) / 16
+    expected = exact_mc_counts(rows, p)
+    shift = 0.99 * n * 2.0**-53 / (1 - n * 2.0**-53) * sum(row) / 16
+    exact_matmul, moved = np.matmul, []
+
+    def loose_matmul(a, b, out=None):
+        out = exact_matmul(a, b, out=out)
+        near = (out >= 0) & (out <= shift)
+        moved.append(np.count_nonzero(near))
+        out[near] = -shift
+        return out
+
+    monkeypatch.setattr(np, "matmul", loose_matmul)
+    # in one tile of every row ...
+    feed = iter(rows)
+    monkeypatch.setattr(averages, "sample_unit_cube", lambda rng, count, n: np.array(
+        [next(feed) for _ in range(count)]))
+    estimate = average_betti_mc(n, p, Measure.CUBE, len(rows), 0)
+    assert estimate.estimate == sum(expected) / len(rows)
+    assert sum(moved) > 0
     # ... and row by row
     assert _counts_per_row(n, p, Measure.CUBE, rows, monkeypatch) == expected
 

@@ -36,7 +36,7 @@ import pytest
 
 from linkage_betti.averages import EXACT_MAX_BARS, convergence_table
 from linkage_betti.cli import main
-from linkage_betti.errors import DomainError
+from linkage_betti.errors import DomainError, digit_limit
 from linkage_betti.linkages import MAX_BARS
 from linkage_betti.sampling import MC_MAX_SAMPLES
 from linkage_betti.simplexes import Measure
@@ -468,10 +468,13 @@ def test_table_format_is_aligned(capsys):
 
 
 def test_exit_code_2_on_malformed_input(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["betti", "--lengths", "1,abc,2"])
-    assert excinfo.value.code == 2
-    capsys.readouterr()
+    for argv, flag, text in ((["betti", "--lengths", "1,abc,2"], "--lengths", "abc"),
+                             (["slice", "--q", "1/0,1"], "--q", "1/0")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"linkage-betti {argv[0]}: error: argument {flag}: not a rational number: {text!r}")
     with pytest.raises(SystemExit) as excinfo:
         main(["slice", "--q", "5"])
     assert excinfo.value.code == 2
@@ -491,16 +494,19 @@ def test_exit_code_2_on_malformed_input(capsys):
     capsys.readouterr()
     # literals whose numerator or denominator Python would refuse to print,
     # refused before Fraction spends seconds building 10**10000000
-    for argv in (["slice", "--q", "-1e5000,1"], ["slice", "--q", "1,1e-4300"],
-                 ["betti", "--lengths", "1e10000000,1,1"],
-                 # an exponent too long for int
-                 ["slice", "--q", "1e" + "9" * 4301 + ",1"]):
+    for argv, literal in ((["slice", "--q", "-1e5000,1"], "-1e5000"),
+                          (["slice", "--q", "1,1e-4300"], "1e-4300"),
+                          (["betti", "--lengths", "1e10000000,1,1"], "1e10000000"),
+                          # an exponent too long for int
+                          (["slice", "--q", "1e" + "9" * 4301 + ",1"], "1e" + "9" * 4301)):
         start = time.perf_counter()
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2, argv
         assert time.perf_counter() - start < 1.0, argv
-    capsys.readouterr()
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"linkage-betti {argv[0]}: error: argument {argv[1]}: "
+            f"numerator or denominator past {digit_limit()} digits: {literal!r}")
 
 
 def test_exit_code_3_on_domain_violations(capsys):

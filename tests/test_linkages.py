@@ -11,7 +11,9 @@ Core claims exercised here:
   * the anchor is the first longest bar, however the tied lengths are written;
   * genericity detection is exact and agrees with "no median counts";
   * more than MAX_BARS bars, or half sums past MAX_SUM_BITS bits, are
-    refused at once instead of hanging or running out of memory.
+    refused at once instead of hanging or running out of memory;
+  * ``LengthVector.of`` refuses floats, and text past Python's digit limit
+    before ``Fraction`` builds it.
 """
 
 from __future__ import annotations
@@ -350,6 +352,13 @@ def test_length_vector_validation():
     with pytest.raises(DomainError):
         LengthVector((Fraction(1), Fraction(-1, 2)))
     assert LengthVector.of("1/3", "0.25").lengths == (Fraction(1, 3), Fraction(1, 4))
+    # text past Python's digit limit is refused before Fraction spends
+    # seconds building 10**10000000; a number already built is read as it is
+    start = time.process_time()
+    with pytest.raises(DomainError, match="numerator or denominator past"):
+        LengthVector.of("1e10000000", 1, 1)
+    assert time.process_time() - start < 1.0
+    assert LengthVector.of(Fraction(10**5000), 1, 1).lengths[0] == 10**5000
 
 
 def test_checked_weights_clear_denominators():

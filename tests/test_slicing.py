@@ -16,7 +16,9 @@ Core claims exercised here:
   * a sweep whose cost estimate passes the limit is refused at once, whichever
     side of the cut is summed; the estimate is pinned on a few inputs, each
     admitted at a limit equal to it and refused one below, and printed in the
-    refusal message.
+    refusal message;
+  * vertex values are read as ``LengthVector.of`` reads lengths: floats are
+    refused, and text past Python's digit limit before ``Fraction`` builds it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,10 @@ def test_group_values_examples():
     assert group_values([0, 1, 0, 1, 0]) == ((1, 0), (2, 3))
     with pytest.raises(DomainError):
         group_values([])
+    # values are read by the rule LengthVector.of reads lengths by
+    assert group_values(["1/2", 1, "-0.5"]) == ((1, Fraction(1, 2), Fraction(-1, 2)), (1, 1, 1))
+    with pytest.raises(TypeError, match="floats are not exact"):
+        group_values([0.5])
 
 
 def test_grouped_values_invariants():
@@ -307,6 +313,19 @@ def test_both_pole_sides_agree():
             assert direct == 1 - other
             assert slice_ratio(values) == direct
             assert weak_composition_slice_ratio(values) == direct
+
+
+def test_inputs_are_read_exactly_before_any_work():
+    # a float would leak its binary rounding into the exact ratio
+    with pytest.raises(TypeError, match="floats are not exact"):
+        slice_ratio([0.5, -0.25])
+    # text past Python's digit limit is refused before Fraction spends
+    # seconds building 10**10000000; a number already built is read as it is
+    start = time.process_time()
+    with pytest.raises(DomainError, match="numerator or denominator past"):
+        slice_ratio(["1e10000000", -1])
+    assert time.process_time() - start < 1.0
+    assert slice_ratio([Fraction(10**5000), -1]) == Fraction(1, 10**5000 + 1)
 
 
 def test_one_signed_zero_and_single_value_inputs():
