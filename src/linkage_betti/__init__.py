@@ -10,8 +10,9 @@ The library has three layers:
 * :mod:`linkage_betti.averages` computes exact expected Betti numbers under
   two random-length models from closed forms (for the uniform law on the
   probability simplex, one binomial tail plus one Horner sum per shared
-  denominator; for iid uniform lengths on the cube, one Irwin-Hall CDF) and
-  cross-checks them by seeded Monte Carlo (:mod:`linkage_betti.sampling`).
+  denominator; for iid uniform lengths on the cube, one Irwin-Hall CDF) as
+  ``AverageReport``s, a table over n being a list of them, and cross-checks
+  them by seeded Monte Carlo (:mod:`linkage_betti.sampling`).
 
 ``__all__`` holds the names a caller computes with.  Each is importable from
 the package, but the module that defines it loads on first access (PEP 562),
@@ -32,7 +33,6 @@ _EXPORTS = {
     "sampling": ("MonteCarloEstimate",),
     "averages": (
         "AverageReport",
-        "ConvergenceRow",
         "average_betti_exact",
         "average_betti_mc",
         "convergence_table",

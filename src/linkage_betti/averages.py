@@ -26,7 +26,10 @@ the k - 1 other members of J and B the n - k non-members.
   T(p + 1) = C(n-1, p) (1 - F); U -> 1 - U on B instead turns it into
   IH_{n-1} < n - 1 - k, so T(n - 2 - p) = C(n-1, p+2) F.  At an integer k,
   P(IH_m <= k) = sum_{j <= k} (-1)^j C(m, j) (k - j)^m / m!, and m - IH_m has
-  the law of IH_m, so min(k, m - k) + 1 terms serve.
+  the law of IH_m, so min(k, m - k) + 1 terms serve.  So the gap
+  C(n-1, p) - E[b_p] is (C(n-1, p) - C(n-1, p+2)) F, and F's j = 0 term leads
+  it: with L = -C(n-1, p+2) (p+1)^(n-1) / (n-1)!, Bonferroni at j = 1 bounds
+  |1 - gap/L| <= C(n-1, p) / C(n-1, p+2) + (n-1) (p/(p+1))^(n-1).
 * simplex measure (uniform on the probability simplex): with K = k - 1,
   m = n - k and w_ab = (-1)^(a+b) C(K, a) C(m, b),
       T(k) = n C(n-1, K) sum_{a <= K, b <= m} w_ab G(K, m, c_ab) / (1+a+b),
@@ -93,7 +96,6 @@ __all__ = [
     "EXACT_MAX_BARS",
     "MC_SETUP_BUDGET_BYTES",
     "AverageReport",
-    "ConvergenceRow",
     "subset_classes",
     "average_betti_exact",
     "convergence_table",
@@ -233,38 +235,17 @@ def average_betti_exact(
     )
 
 
-class ConvergenceRow(NamedTuple):
-    """One convergence-table row: a report plus the gap shrink factor.
-
-    ``gap_ratio`` is |gap(n)| / |gap(n-1)| against the previous row of the
-    same measure, None on the first row or when the previous gap was exactly
-    zero (division has no meaning there).
-    """
-
-    report: AverageReport
-    gap_ratio: Fraction | None
-
-
 def convergence_table(
     p: int, n_min: int, n_max: int, measure: Measure | str
-) -> list[ConvergenceRow]:
-    """Expected values against the binomial reference for n = n_min..n_max.
+) -> list[AverageReport]:
+    """``average_betti_exact`` for n = n_min..n_max, one report per n.
 
-    ``measure`` is a ``Measure`` or its name, else ValueError.  It, the
-    degree, ``n_min`` and ``n_max`` (against ``EXACT_MAX_BARS``) are checked
-    before the first row, so an empty range is checked too.
-    """
+    ``measure`` is a ``Measure`` or its name, else ValueError.  It, the degree
+    (at ``n_min``) and ``n_max`` (against ``EXACT_MAX_BARS``) are checked
+    before the first row, so an empty range is checked too."""
     check_degree(n_min, p)
     measure = _checked_measure(n_max, measure)
-    rows: list[ConvergenceRow] = []
-    previous_gap: Fraction | None = None
-    for n in range(n_min, n_max + 1):
-        report = average_betti_exact(n, p, measure)
-        gap = abs(report.gap)
-        ratio = gap / previous_gap if previous_gap else None  # None after a zero gap too
-        rows.append(ConvergenceRow(report=report, gap_ratio=ratio))
-        previous_gap = gap
-    return rows
+    return [average_betti_exact(n, p, measure) for n in range(n_min, n_max + 1)]
 
 
 # Bytes of the signed matrix's n - 1 member rows ``average_betti_mc`` may

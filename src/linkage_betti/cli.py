@@ -304,15 +304,15 @@ def _cmd_average(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]
 
 def _cmd_convergence(args: argparse.Namespace) -> tuple[tuple[str, ...], list[dict]]:
     measures = ("simplex", "cube") if args.measure == "both" else (args.measure,)
-    convergence_table = _engine("convergence_table")
-    tables = [convergence_table(args.p, args.n_min, args.n_max, m) for m in measures]
+    tables = [_engine("convergence_table")(args.p, args.n_min, args.n_max, m) for m in measures]
     rows = [
         {
-            **_average_row(row.report),
-            "gap_ratio": "" if row.gap_ratio is None else decimal_str(row.gap_ratio),
+            **_average_row(report),
+            # |gap(n) / gap(n-1)| within one measure, blank on its first row and after a zero gap
+            "gap_ratio": decimal_str(abs(report.gap / last.gap)) if last and last.gap else "",
         }
-        for same_n in zip(*tables)
-        for row in same_n
+        for same_n in zip(*(zip([None, *table], table) for table in tables))
+        for last, report in same_n
     ]
     columns = ("n", "measure", "p", "exact_rational", "exact_decimal", "binomial",
                "gap_decimal", "gap_ratio")

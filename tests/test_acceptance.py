@@ -166,8 +166,7 @@ def test_criterion_5_binomial_gap_geometric_decay():
     with criterion(5, "geometric decay of the binomial gap", 600.0):
         for p in (0, 1):
             for measure in (Measure.SIMPLEX, Measure.CUBE):
-                rows = convergence_table(p, p + 3, 14, measure)
-                gaps = {row.report.n: abs(row.report.gap) for row in rows}
+                gaps = _gaps(p, 14, measure)
                 for n in range(8, 14):
                     assert gaps[n + 1] < gaps[n], (p, measure, n)
                 assert gaps[14] < Fraction(2, 100) * math.comb(13, p), (p, measure)
@@ -303,8 +302,7 @@ def test_criterion_9_cut_distribution_function():
 
 
 def _gaps(p: int, n_max: int, measure: Measure) -> dict[int, Fraction]:
-    rows = convergence_table(p, p + 3, n_max, measure)
-    return {row.report.n: abs(row.report.gap) for row in rows}
+    return {report.n: abs(report.gap) for report in convergence_table(p, p + 3, n_max, measure)}
 
 
 def test_criterion_10_cube_degree_zero_gap_closed_form():

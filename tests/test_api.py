@@ -25,7 +25,6 @@ from linkage_betti import (
     average_betti_exact,
     average_betti_mc,
     betti_profile,
-    convergence_table,
 )
 
 PUBLIC = {
@@ -40,7 +39,6 @@ PUBLIC = {
     "slice_ratio",
     "MonteCarloEstimate",
     "AverageReport",
-    "ConvergenceRow",
     "average_betti_exact",
     "average_betti_mc",
     "convergence_table",
@@ -72,7 +70,6 @@ RECORDS = {
     "LengthVector": (lambda: LengthVector.of(3, 1, 1, 1, 1), "lengths"),
     "BettiProfile": (lambda: betti_profile(LengthVector.of(3, 1, 1, 1, 1)), "values"),
     "AverageReport": (lambda: average_betti_exact(7, 1, Measure.CUBE), "exact"),
-    "ConvergenceRow": (lambda: convergence_table(0, 3, 5, Measure.SIMPLEX)[-1], "gap_ratio"),
     "MonteCarloEstimate": (
         lambda: average_betti_mc(5, 0, Measure.CUBE, samples=200, seed=3), "estimate"),
 }

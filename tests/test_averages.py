@@ -16,14 +16,18 @@ Core claims exercised here:
     exactly (1/2 on the simplex, 1 on the cube);
   * engine regression values are pinned with full rational precision and
     validated against the seeded Monte Carlo path at 3 standard errors;
-  * convergence tables expose signed gaps and shrink ratios, with None after
-    an exactly-zero gap;
+  * a convergence table is the list of ``average_betti_exact`` reports over
+    its range of n (a ``hypothesis`` test, empty ranges too), and keeps an
+    exactly-zero gap;
   * up to both exact ceilings (``hypothesis`` tests), the complement identity
     T(k) - T(n-k) = E[S_k] - C(n-1, k) holds and the cube gap equals
     (C(n-1,p) - C(n-1,p+2)) P(IH_{n-1} <= p+1), with E[S_k] and the
     Irwin-Hall CDF from the oracles (Eulerian numbers for the cube); the cube
     gap is exactly 0 at n = 2p + 3, and the simplex gap lies between 0 and
     the expected number of long (p+1)-subsets, C(n, p+1) - E[S_{p+1}];
+  * for p <= 5 and every n up to the cube ceiling, the cube gap's relative
+    distance to its leading term L = -C(n-1, p+2) (p+1)^(n-1) / (n-1)!
+    strictly decreases and stays within its Bonferroni bound;
   * per-term bounds and anchor-relabeling invariance hold on the computed
     range;
   * size ceilings refuse oversized exact and Monte Carlo requests at once;
@@ -56,6 +60,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkage_betti import (
+    AverageReport,
     DomainError,
     Measure,
     average_betti_exact,
@@ -382,24 +387,39 @@ def test_a_measure_name_reads_as_its_member(monkeypatch):
         average_betti_mc(6, 1, "bogus", 10, 1)
 
 
-def test_convergence_table_shape_and_ratios():
-    rows = convergence_table(0, 3, 10, Measure.SIMPLEX)
-    assert [r.report.n for r in rows] == list(range(3, 11))
-    gaps = [abs(r.report.gap) for r in rows]
+def test_convergence_table_shape_and_decay():
+    # the CLI's gap_ratio column, |gap(n) / gap(n-1)|, is checked in test_cli
+    reports = convergence_table(0, 3, 10, Measure.SIMPLEX)
+    assert [r.n for r in reports] == list(range(3, 11))
+    assert all(type(r) is AverageReport and r.p == 0 for r in reports)
+    gaps = [abs(r.gap) for r in reports]
     assert all(g > 0 for g in gaps)
-    assert rows[0].gap_ratio is None
-    for prev, row in zip(rows, rows[1:]):
-        assert row.gap_ratio == abs(row.report.gap) / abs(prev.report.gap)
-        assert row.gap_ratio < 1
+    assert all(g < last for last, g in zip(gaps, gaps[1:]))
 
 
-def test_convergence_zero_gap_yields_none_ratio():
-    rows = convergence_table(1, 4, 8, Measure.CUBE)
-    by_n = {r.report.n: r for r in rows}
-    assert by_n[5].report.gap == 0
-    assert by_n[5].gap_ratio == 0
-    assert by_n[6].gap_ratio is None
-    assert by_n[7].gap_ratio is not None
+def test_convergence_table_keeps_a_zero_gap():
+    gaps = {r.n: r.gap for r in convergence_table(1, 4, 8, Measure.CUBE)}
+    assert gaps[5] == 0
+    assert all(gaps[n] != 0 for n in (4, 6, 7, 8))
+
+
+@st.composite
+def _table_ranges(draw):
+    """A degree, a measure as member or name, and a range of n, maybe empty."""
+    measure = draw(st.sampled_from([*Measure, *(m.value for m in Measure)]))
+    p = draw(st.integers(0, 6))
+    n_min = draw(st.integers(p + 3, 30))
+    return p, n_min, draw(st.integers(n_min - 3, n_min + 6)), measure
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=3))
+@given(case=_table_ranges())
+@example(case=(0, 5, 4, "simplex"))
+@example(case=(2, 5, 5, Measure.CUBE))
+def test_convergence_table_is_the_list_of_reports(case):
+    p, n_min, n_max, measure = case
+    expected = [average_betti_exact(n, p, measure) for n in range(n_min, n_max + 1)]
+    assert convergence_table(p, n_min, n_max, measure) == expected
 
 
 def test_eulerian_oracle_counts_descents():
@@ -455,6 +475,24 @@ def test_cube_gap_is_one_irwin_hall_cdf(case):
     low, high = math.comb(n - 1, p), math.comb(n - 1, p + 2)
     assert report.class_sums == (low * (1 - below), high * below)
     assert report.gap == (low - high) * below
+
+
+def test_cube_gap_nears_its_leading_term_up_to_the_ceiling():
+    # L is -C(n-1, p+2) times the j = 0 term of F = P(IH_{n-1} <= p+1); the
+    # j = 1 term and the C(n-1, p) part of the gap's weight bound the rest
+    ceiling = EXACT_MAX_BARS[Measure.CUBE]
+    for p in range(6):
+        errors = []
+        for report in convergence_table(p, p + 3, ceiling, Measure.CUBE):
+            n = report.n
+            lead = Fraction(-math.comb(n - 1, p + 2) * (p + 1) ** (n - 1), math.factorial(n - 1))
+            error = abs(1 - report.gap / lead)
+            weight = Fraction(math.comb(n - 1, p), math.comb(n - 1, p + 2))
+            assert error <= weight + (n - 1) * Fraction(p, p + 1) ** (n - 1), (p, n)
+            # past n = 2p + 3, where that weight is below 1, it alone bounds the error below
+            assert n <= 2 * p + 3 or weight <= error, (p, n)
+            errors.append(error)
+        assert all(e < last for last, e in zip(errors, errors[1:])), p
 
 
 def test_cube_gap_vanishes_at_n_equal_2p_plus_3():
@@ -516,11 +554,12 @@ MC_PINS = [
 
 
 def test_mc_regression_pins():
-    # the README example, the benchmark's two sizes, p = 0 (a zero pick
-    # column), n = 2p + 3 (one family twice; n = 3 is both) and budgets that
-    # are multiples of neither CHUNK_SIZE nor the tile rows; then one-row
-    # tiles (n = 19), a mean count above 2^16 (n = 21) and 852 of 5,000 rows
-    # whose anchor reaches half the total, so no subset is short (n = 4)
+    # the README example, the benchmark's two sizes, p = 0 (a column whose
+    # subset is the anchor alone), n = 2p + 3 (one family twice; n = 3 is
+    # both) and budgets that are multiples of neither CHUNK_SIZE nor the
+    # tile rows; then one-row tiles (n = 19), a mean count above 2^16
+    # (n = 21) and 852 of 5,000 rows whose anchor reaches half the total, so
+    # no subset is short (n = 4)
     for args, (estimate, stderr) in MC_PINS:
         n, p, measure, samples, seed = args
         assert average_betti_mc(*args) == MonteCarloEstimate(

@@ -4,6 +4,9 @@ Core claims exercised here:
   * the documented commands produce the pinned exact values;
   * the CSV schema is stable, JSON round-trips to the same CSV bytes, and
     decimal columns agree with the rational columns to 12 significant digits;
+  * convergence's gap_ratio is |gap(n) / gap(n-1)| between consecutive
+    reports of one measure, also in interleaved tables, and is blank on each
+    measure's first row and after an exactly-zero gap;
   * exit codes separate malformed input (2) from domain violations (3), and
     every cost ceiling (slice sweep, betti subset count and sums, exact bar
     counts, Monte Carlo set-up and budget) exits 3 in a child held to one
@@ -34,8 +37,8 @@ from pathlib import Path
 
 import pytest
 
-from linkage_betti.averages import EXACT_MAX_BARS, convergence_table
-from linkage_betti.cli import main
+from linkage_betti.averages import EXACT_MAX_BARS, average_betti_exact, convergence_table
+from linkage_betti.cli import decimal_str, main
 from linkage_betti.errors import DomainError, digit_limit
 from linkage_betti.linkages import MAX_BARS
 from linkage_betti.sampling import MC_MAX_SAMPLES
@@ -166,10 +169,36 @@ def test_convergence_schema_and_interleaving(capsys):
     assert len(rows) == 1 + 2 * 10
     assert [r[1] for r in rows[1:5]] == ["simplex", "cube", "simplex", "cube"]
     assert rows[1][0] == rows[2][0] == "3"
-    simplex_ratios = [
-        float(r[7]) for r in rows[1:] if r[1] == "simplex" and r[7] != ""
-    ]
-    assert simplex_ratios[-1] < 1
+    # the simplex degree-0 gap shrinks at every step
+    simplex_ratios = [r[7] for r in rows[1:] if r[1] == "simplex"]
+    assert simplex_ratios[0] == ""
+    assert all(float(ratio) < 1 for ratio in simplex_ratios[1:])
+
+
+@pytest.mark.parametrize(
+    "p, n_min, n_max, measure",
+    [
+        (1, 4, 14, "both"),  # the benchmark's interleaved table
+        (0, 3, 10, "simplex"),
+        (1, 4, 8, "cube"),  # the gap is 0 at n = 5
+    ],
+)
+def test_convergence_gap_ratio_is_taken_within_one_measure(capsys, p, n_min, n_max, measure):
+    code, out = run_cli(
+        capsys, "convergence", "--p", str(p), "--n-min", str(n_min), "--n-max", str(n_max),
+        "--measure", measure, "--format", "csv",
+    )
+    assert code == 0
+    header, *body = parse_csv(out)
+    rows = [dict(zip(header, r)) for r in body]
+    measures = ("simplex", "cube") if measure == "both" else (measure,)
+    assert [r["measure"] for r in rows] == list(measures) * (n_max - n_min + 1)
+    for m in measures:
+        ratios = [r["gap_ratio"] for r in rows if r["measure"] == m]
+        reports = [average_betti_exact(n, p, m) for n in range(n_min, n_max + 1)]
+        assert ratios[0] == ""
+        for ratio, b, a in zip(ratios[1:], reports, reports[1:]):
+            assert ratio == ("" if b.gap == 0 else decimal_str(abs(a.gap / b.gap))), (m, a.n)
 
 
 def test_convergence_single_measure(capsys):
@@ -202,6 +231,16 @@ def test_convergence_zero_gap_blank_ratio(capsys):
     by_n = {r[0]: r for r in rows[1:]}
     assert by_n["3"][6] == "0"
     assert by_n["4"][7] == ""
+    # a zero gap after a nonzero one has ratio 0; the row after it is blank
+    code, out = run_cli(
+        capsys, "convergence", "--p", "1", "--n-min", "4", "--n-max", "8",
+        "--measure", "cube", "--format", "csv",
+    )
+    assert code == 0
+    by_n = {r[0]: r for r in parse_csv(out)[1:]}
+    assert by_n["5"][6] == by_n["5"][7] == "0"
+    assert by_n["6"][7] == ""
+    assert by_n["7"][7] != ""
 
 
 def test_sample_within_three_sigma_of_one(capsys):
